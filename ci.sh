@@ -215,6 +215,16 @@ go test -run 'Fuzz' ./internal/ckpt/
 echo "==> benchmark smoke (one iteration)"
 go test -bench BenchmarkStreamingMemory -benchtime=1x -run '^$' .
 
+echo "==> perfbench smoke (every workload, untraced and traced, at tiny scale)"
+# The repository benchmark is its own module. Its smoke test checks that
+# the archive replay, the Session replay and the traced pass (which drives
+# tokenizer, matcher and NewRecoverer directly) produce the same steps as
+# the in-memory analysis, so the benchmark cannot rot and a thread
+# analyzer whose output drifts from the explicit per-stage composition
+# fails here. The pinned seed-0 hashes apply at scale 1 only: full runs
+# (perfbench/run.sh) check those.
+(cd perfbench && go test .)
+
 echo "==> bench snapshot smoke (kernels, guard band vs committed BENCH_*.json)"
 # Quick mode runs the steady-state kernels with the same inputs as the
 # committed snapshot, so allocs/op — the machine-independent metric — is

@@ -97,8 +97,9 @@ type tokenizer struct {
 	// pendingGap is the gap awaiting attachment to the next segment.
 	pendingGap *GapInfo
 	tsc        uint64
-	// pendingCond indexes cur's conditional dispatch awaiting its TNT
-	// (interpreter mode pairs TIP(template) + TNT). -1 = none.
+	// pendingCond indexes (within the open span slab[segStart:]) the
+	// conditional dispatch awaiting its TNT (interpreter mode pairs
+	// TIP(template) + TNT). -1 = none.
 	pendingCond int
 
 	// slab is the token arena (DESIGN.md §12): tokens append into one
@@ -108,8 +109,10 @@ type tokenizer struct {
 	// segment. Flushed segments alias retired slabs, which stay alive
 	// exactly as long as the flows that reference them — this is an
 	// arena, not a pool: slabs are never recycled. segStart is the
-	// index in slab where the open segment begins; cur.Tokens is kept
-	// as a live capped view slab[segStart:len(slab):len(slab)].
+	// index in slab where the open segment begins: the open segment's
+	// tokens are slab[segStart:], and cur.Tokens is set to that span
+	// (capped) only when flush closes the segment, so appending a token
+	// never stores a slice header into the heap-resident Segment.
 	slab     []Token
 	segStart int
 	// curLocated counts located tokens in the open segment (maintained
@@ -121,7 +124,7 @@ type tokenizer struct {
 	segSlab []Segment
 }
 
-// tokenSlabSize is the token-arena block size (≈128KB of tokens) and
+// tokenSlabSize is the token-arena block size (96 KiB of tokens) and
 // segSlabSize the header-arena block size.
 const (
 	tokenSlabSize = 4096
@@ -156,13 +159,11 @@ func (t *tokenizer) growSlab(need int) {
 	copy(ns, t.slab[t.segStart:])
 	t.slab = ns
 	t.segStart = 0
-	if open > 0 {
-		t.cur.Tokens = t.slab[0:open:open]
-	}
 }
 
 func (t *tokenizer) flush(gapAfter *GapInfo) {
-	if len(t.cur.Tokens) > 0 {
+	if len(t.slab) > t.segStart {
+		t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]
 		t.cur.GapBefore = t.pendingGap
 		t.segs = append(t.segs, t.cur)
 		t.st.Segments++
@@ -192,7 +193,6 @@ func (t *tokenizer) appendTok(tok Token) {
 		t.growSlab(1)
 	}
 	t.slab = append(t.slab, tok)
-	t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]
 }
 
 // feed lowers one chunk of decoder events.
@@ -225,14 +225,15 @@ func (t *tokenizer) feed(events []source.Event) {
 		case source.EvTemplate:
 			t.appendTok(Token{Op: ev.Op, Method: bytecode.NoMethod})
 			if ev.Op.IsCondBranch() {
-				t.pendingCond = len(t.cur.Tokens) - 1
+				t.pendingCond = len(t.slab) - t.segStart - 1
 			} else {
 				t.pendingCond = -1
 			}
 		case source.EvTemplateTNT:
-			if t.pendingCond >= 0 && t.cur.Tokens[t.pendingCond].Op == ev.Op {
-				t.cur.Tokens[t.pendingCond].HasDir = true
-				t.cur.Tokens[t.pendingCond].Taken = ev.Taken
+			if t.pendingCond >= 0 && t.slab[t.segStart+t.pendingCond].Op == ev.Op {
+				cond := &t.slab[t.segStart+t.pendingCond]
+				cond.HasDir = true
+				cond.Taken = ev.Taken
 			} else {
 				// A TNT without its dispatch (post-loss FUP anchored the
 				// bits mid-template): synthesise the branch token.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"jportal/internal/bytecode"
 	"jportal/internal/isa"
@@ -127,5 +128,14 @@ func TestSegmentAbstractionCaching(t *testing.T) {
 	b := seg.Abstraction(2)
 	if &a[0] != &b[0] {
 		t.Error("abstraction not cached")
+	}
+}
+
+// TestTokenSize pins Token's packed layout: the token arena stores one per
+// decoded bytecode, so a field added in the wrong place silently brings
+// back padding on every slab.
+func TestTokenSize(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n != 24 {
+		t.Fatalf("sizeof(Token) = %d, want 24", n)
 	}
 }

@@ -178,11 +178,9 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 		if len(toks) < cfg.AnchorLen {
 			continue
 		}
-		h := uint64(0)
 		for i := 0; i < len(toks); i++ {
-			h = anchorHash(h, toks[i].MatchKey(), i, cfg.AnchorLen, toks)
 			if i+1 >= cfg.AnchorLen {
-				r.index.add(h, int32(si), int32(i+1))
+				r.index.add(anchorHash(i, cfg.AnchorLen, toks), int32(si), int32(i+1))
 			}
 		}
 	}
@@ -197,7 +195,7 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 // anchorHash computes the hash of the window of AnchorLen keys ending at
 // index i. A simple recompute keeps it obviously correct; the window is
 // tiny.
-func anchorHash(_ uint64, _ uint64, i, x int, toks []Token) uint64 {
+func anchorHash(i, x int, toks []Token) uint64 {
 	if i+1 < x {
 		return 0
 	}
@@ -210,7 +208,7 @@ func anchorHash(_ uint64, _ uint64, i, x int, toks []Token) uint64 {
 	return h
 }
 
-// suffixMatch compares keys backwards and returns the common-suffix length.
+// suffixKeys compares keys backwards and returns the common-suffix length.
 // a ends at ai (exclusive), b ends at bi (exclusive).
 func suffixKeys(a []Token, ai int, b []Token, bi int) int {
 	n := 0
@@ -253,7 +251,7 @@ func (r *Recoverer) searchCS(isIdx int) ([]candidate, int, int) {
 	if n < r.cfg.AnchorLen {
 		return nil, 0, 0
 	}
-	h := anchorHash(0, 0, n-1, r.cfg.AnchorLen, is.Tokens)
+	h := anchorHash(n-1, r.cfg.AnchorLen, is.Tokens)
 	var cands []candidate
 	tried, pruned := 0, 0
 	m1, m2, m3 := 0, 0, 0
@@ -508,7 +506,7 @@ func (r *Recoverer) continueFrom(tail []Token) (anchorPos, bool) {
 	if len(tail) < x {
 		return anchorPos{}, false
 	}
-	h := anchorHash(0, 0, len(tail)-1, x, tail)
+	h := anchorHash(len(tail)-1, x, tail)
 	var best anchorPos
 	bestLen := -1
 	const window = 64

@@ -30,9 +30,9 @@ func (t *tokenizer) exportState() TokenizerState {
 		TSC:         t.tsc,
 		PendingCond: t.pendingCond,
 	}
-	if len(t.cur.Tokens) > 0 || t.cur.GapBefore != nil {
+	if open := t.slab[t.segStart:]; len(open) > 0 || t.cur.GapBefore != nil {
 		st.Cur = &Segment{
-			Tokens:    append([]Token(nil), t.cur.Tokens...),
+			Tokens:    append([]Token(nil), open...),
 			GapBefore: t.cur.GapBefore,
 		}
 	}
@@ -50,9 +50,8 @@ func (t *tokenizer) restoreState(st TokenizerState) {
 	t.st = st.Stats
 	t.segs = nil
 	// Adopt the checkpointed open segment into the token arena: the
-	// restored tokens are copied to the head of a fresh open span so the
-	// appendTok slab invariant (cur.Tokens == slab[segStart:len(slab)])
-	// holds again.
+	// restored tokens are copied to the head of a fresh open span
+	// slab[segStart:], where appendTok continues it.
 	t.segStart = len(t.slab)
 	t.cur = t.newSeg()
 	t.curLocated = 0
@@ -63,9 +62,8 @@ func (t *tokenizer) restoreState(st TokenizerState) {
 				t.growSlab(n)
 			}
 			t.slab = append(t.slab, st.Cur.Tokens...)
-			t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]
-			for i := range t.cur.Tokens {
-				if t.cur.Tokens[i].Located() {
+			for i := range st.Cur.Tokens {
+				if st.Cur.Tokens[i].Located() {
 					t.curLocated++
 				}
 			}

@@ -21,7 +21,9 @@ import (
 // Hole recovery deliberately runs only at Finish: the §5 recoverer indexes
 // every flow of the thread as a candidate continuation sequence for every
 // hole (an early segment can splice a late hole), so recovering before the
-// stream ends would change fills. Wave boundaries, by contrast, are
+// stream ends would change fills. It is built only when the finished
+// thread has a hole (two or more flows) and recovery is enabled; a
+// hole-free thread pays nothing for it. Wave boundaries, by contrast, are
 // invisible: reconstruction is per-segment and order-preserving, so Finish
 // returns byte-identical results to the batch call for any chunking and any
 // cap.
@@ -288,15 +290,20 @@ func (a *ThreadAnalyzer) FinishContext(ctx context.Context) *ThreadResult {
 
 	t1 := time.Now()
 	var rec *Recoverer
-	if ctx.Err() == nil {
+	if ctx.Err() != nil {
+		if a.timedOut.CompareAndSwap(false, true) {
+			// The deadline landed between reconstruction and recovery: no
+			// segment was cut, but recovery is skipped — record why.
+			a.ledger.Add(fault.Entry{
+				Reason: fault.ReasonDeadline, Thread: a.res.Thread, Core: -1,
+				Detail: "recovery skipped",
+			})
+		}
+	} else if len(res.Flows) >= 2 && !a.p.Cfg.Recovery.Disable {
+		// Only a thread with a hole has anything to recover; without one
+		// (or with recovery disabled) every fill is FillNone, exactly what
+		// RecoverHole would return, so the index is not built at all.
 		rec = a.safeRecoverer()
-	} else if a.timedOut.CompareAndSwap(false, true) {
-		// The deadline landed between reconstruction and recovery: no
-		// segment was cut, but recovery is skipped — record why.
-		a.ledger.Add(fault.Entry{
-			Reason: fault.ReasonDeadline, Thread: a.res.Thread, Core: -1,
-			Detail: "recovery skipped",
-		})
 	}
 	res.Fills = make([]Fill, len(res.Flows))
 	if rec != nil {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
+
+	"jportal/internal/bytecode"
+	"jportal/internal/fault"
 )
 
 // TestTokenizerChunkInvariant feeds the mixed event fixture (templates,
@@ -86,5 +90,94 @@ func TestPipelineConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// finishWith runs a fresh analyzer's Finish over pre-tokenized segments
+// (bypassing decode) under rcfg.
+func finishWith(m *Matcher, prog *bytecode.Program, rcfg RecoveryConfig, segs []*Segment) *ThreadResult {
+	pc := DefaultPipelineConfig()
+	pc.Recovery = rcfg
+	a := (&Pipeline{Prog: prog, Matcher: m, Cfg: pc}).NewThreadAnalyzer(0, nil)
+	a.pend = append([]*Segment(nil), segs...) // reconstruction clears pend's slots
+	return a.Finish()
+}
+
+// TestFinishRecoveryMatchesReference: whether Finish builds the §5
+// recoverer or skips it (no hole, or recovery disabled), its result is the
+// one an explicit NewRecoverer + RecoverHole pass over the same flows
+// gives. A skipped thread must also leave the segments' abstraction caches
+// unbuilt — the recoverer really was not constructed.
+func TestFinishRecoveryMatchesReference(t *testing.T) {
+	prog, m := fig2Matcher(t)
+	iter := len(fig2ElseTrace())
+	gapAt := uint64(3 * iter * 10)
+	gapDur := uint64(4 * iter * 10)
+	threeSegs := func() []*Segment {
+		return []*Segment{
+			{Tokens: repTrace(3, 0)},
+			{Tokens: repTrace(3, gapAt+gapDur), GapBefore: &GapInfo{Start: gapAt, End: gapAt + gapDur, LostBytes: 300}},
+			{Tokens: repTrace(12, 100_000), GapBefore: &GapInfo{Desync: true, Start: 50_000, End: 50_000}},
+		}
+	}
+	disabled := DefaultRecoveryConfig()
+	disabled.Disable = true
+	cases := []struct {
+		name    string
+		rcfg    RecoveryConfig
+		segs    []*Segment
+		skipped bool
+	}{
+		{"no-hole", DefaultRecoveryConfig(), []*Segment{{Tokens: repTrace(5, 0)}}, true},
+		{"disabled", disabled, threeSegs(), true},
+		{"holes", DefaultRecoveryConfig(), threeSegs(), false},
+	}
+	for _, tc := range cases {
+		res := finishWith(m, prog, tc.rcfg, tc.segs)
+		for i, s := range tc.segs {
+			if built := s.absIdx1 != nil; built == tc.skipped {
+				t.Errorf("%s: segment %d abstraction built = %v", tc.name, i, built)
+			}
+		}
+
+		ref := &ThreadResult{Flows: res.Flows, Fills: make([]Fill, len(res.Flows))}
+		rec := NewRecoverer(m, ref.Flows, tc.rcfg)
+		for i := 0; i+1 < len(ref.Flows); i++ {
+			ref.Fills[i] = rec.RecoverHole(i)
+		}
+		mergeSteps(ref)
+		if !reflect.DeepEqual(res.Fills, ref.Fills) || !reflect.DeepEqual(res.Steps, ref.Steps) ||
+			res.DecodedSteps != ref.DecodedSteps || res.RecoveredSteps != ref.RecoveredSteps {
+			t.Errorf("%s: Finish diverges from the reference (decoded %d/%d, recovered %d/%d)",
+				tc.name, res.DecodedSteps, ref.DecodedSteps, res.RecoveredSteps, ref.RecoveredSteps)
+		}
+		if !tc.skipped && res.RecoveredSteps == 0 {
+			t.Errorf("%s: hole not filled", tc.name)
+		}
+	}
+}
+
+// TestFinishCancelledSkipsRecoveryOnHoleFreeThread: a deadline that lands
+// after reconstruction still marks a single-flow thread timed out and
+// records the skipped recovery, although such a thread has no hole to fill.
+func TestFinishCancelledSkipsRecoveryOnHoleFreeThread(t *testing.T) {
+	prog, m := fig2Matcher(t)
+	a := (&Pipeline{Prog: prog, Matcher: m, Cfg: DefaultPipelineConfig()}).NewThreadAnalyzer(3, nil)
+	led := fault.NewLedger(nil)
+	a.SetLedger(led)
+	a.pend = []*Segment{{Tokens: repTrace(5, 0)}}
+	a.reconstruct()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := a.FinishContext(ctx)
+	if !a.TimedOut() {
+		t.Error("cancelled Finish did not mark the thread timed out")
+	}
+	if len(res.Flows) != 1 || res.DecodedSteps == 0 {
+		t.Errorf("flows %d, decoded steps %d: reconstruction before the deadline lost", len(res.Flows), res.DecodedSteps)
+	}
+	want := fault.Entry{Reason: fault.ReasonDeadline, Thread: 3, Core: -1, Count: 1, Detail: "recovery skipped"}
+	if got := led.Entries(); len(got) != 1 || got[0] != want {
+		t.Errorf("ledger = %+v, want [%+v]", got, want)
 	}
 }

@@ -19,17 +19,21 @@ import (
 // for conditionals) — *which* program instruction executed is exactly what
 // reconstruction must determine. Tokens decoded from JITed code carry their
 // precise location from the debug metadata.
+//
+// Fields are ordered widest first so a Token packs into 24 bytes (pinned
+// by TestTokenSize): the token arena holds one per decoded bytecode, so
+// padding here is paid on every slab, slab-growth copy and clear.
 type Token struct {
-	Op bytecode.Opcode
-	// HasDir/Taken give the conditional-branch outcome.
-	HasDir bool
-	Taken  bool
+	// TSC is the best-effort timestamp.
+	TSC uint64
 	// Method/PC locate the instruction when known (JIT debug info);
 	// Method is bytecode.NoMethod for interpreter tokens.
 	Method bytecode.MethodID
 	PC     int32
-	// TSC is the best-effort timestamp.
-	TSC uint64
+	Op     bytecode.Opcode
+	// HasDir/Taken give the conditional-branch outcome.
+	HasDir bool
+	Taken  bool
 	// Approx marks tokens from approximate debug records.
 	Approx bool
 }
