@@ -3,8 +3,9 @@
 #
 #   ./ci.sh          vet + build + full tests + race-detector pass over the
 #                    concurrent packages (core, trace, conc, pt, source,
-#                    etrace, ingest, fleet) and the root streaming tests +
-#                    benchmark smoke
+#                    etrace, ingest, fleet, netfault, iofault, scrub, and
+#                    seeded, the fault core they share) and the root
+#                    streaming tests + benchmark smoke
 #
 # The race pass covers the offline-phase parallelism introduced with the
 # worker pool — the read-only Matcher contract, the per-core trace carve and
@@ -31,8 +32,8 @@ go test -race ./internal/core/... ./internal/trace/... ./internal/conc/... ./int
 echo "==> go test -race (root streaming tests)"
 go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestPipelined|TestAsyncSink' .
 
-echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub)"
-go test -race ./internal/ingest/... ./internal/fleet/... ./internal/netfault/... ./internal/iofault/... ./internal/scrub/...
+echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub + seeded)"
+go test -race ./internal/ingest/... ./internal/fleet/... ./internal/netfault/... ./internal/iofault/... ./internal/scrub/... ./internal/seeded/...
 
 echo "==> go test -race (root ingest + fleet + scrub e2e)"
 go test -race -run 'TestIngest|TestFleet|TestScrub' .

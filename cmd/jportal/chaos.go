@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 	"jportal/internal/fleet"
 	"jportal/internal/meta"
 	"jportal/internal/scrub"
+	"jportal/internal/seeded"
 	"jportal/internal/workload"
 )
 
@@ -45,11 +47,13 @@ func cmdChaos(args []string) error {
 	if *fleetMode && *diskMode {
 		return fmt.Errorf("chaos: -fleet and -disk are mutually exclusive")
 	}
+	sweep := seeded.SweepConfig{SourceID: *src, Seed: *seed, Rates: rateList, Sessions: *sessions,
+		Logf: func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }}
 	if *fleetMode {
-		return chaosFleet(*subjects, *scale, *seed, *src, rateList, *sessions)
+		return chaosArchives(os.Stdout, *subjects, *scale, sweep, fleet.ChaosSweep, fleet.FormatSweep)
 	}
 	if *diskMode {
-		return chaosDisk(*subjects, *scale, *seed, *src, rateList, *sessions)
+		return chaosArchives(os.Stdout, *subjects, *scale, sweep, scrub.DiskSweep, scrub.FormatDiskSweep)
 	}
 	pcfg := core.DefaultPipelineConfig()
 	pcfg.Workers = *workers
@@ -84,90 +88,34 @@ func cmdChaos(args []string) error {
 	return nil
 }
 
-// chaosFleet is `jportal chaos -fleet`: collect a chunked archive per
-// subject, then push it through an in-process fleet whose every network
-// edge (coordinator control plane, ingest listeners, heartbeats, client
-// dials) runs behind a seeded netfault injector, once per rate. The
-// table reports outcome invariants only, so it is byte-identical per
-// seed — the same property the decode-fault table gives CI.
-func chaosFleet(subjects string, scale float64, seed uint64, src string, rates []float64, sessions int) error {
+// chaosArchives is `jportal chaos -fleet` and `-disk`: collect a chunked
+// archive per subject, run the archive sweep over it (network faults under
+// an in-process fleet, or storage faults under an ingest server followed
+// by scrub-and-repair), print its table to w and fail on the first row that
+// breaks the sweep's invariant. The tables report outcome invariants only,
+// so they are byte-identical per seed — the same property the decode-fault
+// table gives CI.
+func chaosArchives[R interface{ Check() error }](w io.Writer, subjects string, scale float64, cfg seeded.SweepConfig,
+	sweep func(seeded.SweepConfig) ([]R, error), format func(string, uint64, []R) string) error {
 	for _, name := range strings.Split(subjects, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		archive, subj, cleanup, err := collectChaosArchive(name, scale, src)
+		archive, subj, cleanup, err := collectChaosArchive(name, scale, cfg.SourceID)
 		if err != nil {
 			return err
 		}
 		defer cleanup()
-
-		rows, err := fleet.ChaosSweep(fleet.SweepConfig{
-			ArchiveDir: archive,
-			SourceID:   src,
-			Seed:       seed,
-			Rates:      rates,
-			Sessions:   sessions,
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", a...)
-			},
-		})
+		cfg.ArchiveDir = archive
+		rows, err := sweep(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(os.Stdout, fleet.FormatSweep(subj, seed, rows))
+		fmt.Fprint(w, format(subj, cfg.Seed, rows))
 		for _, r := range rows {
-			if r.Identical != r.Sessions {
-				return fmt.Errorf("%s: only %d/%d sessions archived byte-identical at rate %.2f — the fleet lost data",
-					subj, r.Identical, r.Sessions, r.Rate)
-			}
-		}
-	}
-	return nil
-}
-
-// chaosDisk is `jportal chaos -disk`: collect a chunked archive per
-// subject, push it through an ingest server whose storage runs behind a
-// seeded iofault injector, plant a torn-tail victim and a corrupt sealed
-// casualty, scrub-and-repair, resume the victim, and report outcome
-// invariants only — byte-identical per seed, like the other two tables.
-func chaosDisk(subjects string, scale float64, seed uint64, src string, rates []float64, sessions int) error {
-	for _, name := range strings.Split(subjects, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		archive, subj, cleanup, err := collectChaosArchive(name, scale, src)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-
-		rows, err := scrub.DiskSweep(scrub.DiskSweepConfig{
-			ArchiveDir: archive,
-			SourceID:   src,
-			Seed:       seed,
-			Rates:      rates,
-			Sessions:   sessions,
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", a...)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(os.Stdout, scrub.FormatDiskSweep(subj, seed, rows))
-		for _, r := range rows {
-			// The durability invariant: an upload may fail honestly under
-			// sustained injected faults, but a completed one must be
-			// byte-identical — and with no faults, everything completes.
-			if r.Corrupt > 0 {
-				return fmt.Errorf("%s: %d archive(s) completed but are not byte-identical at rate %.2f — silent corruption",
-					subj, r.Corrupt, r.Rate)
-			}
-			if r.Rate == 0 && (r.Completed != r.Sessions || r.Identical != r.Sessions) {
-				return fmt.Errorf("%s: %d/%d completed, %d/%d identical with zero faults injected",
-					subj, r.Completed, r.Sessions, r.Identical, r.Sessions)
+			if err := r.Check(); err != nil {
+				return fmt.Errorf("%s: %w", subj, err)
 			}
 		}
 	}

@@ -10,31 +10,13 @@ import (
 	"strings"
 	"time"
 
+	"jportal"
 	"jportal/internal/ingest"
 	"jportal/internal/ingest/client"
 	"jportal/internal/metrics"
 	"jportal/internal/netfault"
+	"jportal/internal/seeded"
 )
-
-// SweepConfig configures one `jportal chaos -fleet` sweep: a collected
-// chunked archive pushed through an in-process fleet (coordinator + two
-// nodes) whose every network edge runs behind a seeded netfault injector.
-type SweepConfig struct {
-	// ArchiveDir is a sealed chunked archive (collect -chunked output) to
-	// push through the faulted fleet.
-	ArchiveDir string
-	// SourceID is the archive's trace-source backend ("" = default).
-	SourceID string
-	// Seed feeds the netfault matrix; the whole sweep is deterministic
-	// per seed (the table reports outcome invariants only).
-	Seed uint64
-	// Rates are the netfault.DefaultMatrix scale factors to sweep.
-	Rates []float64
-	// Sessions is how many sessions to push per rate (default 2).
-	Sessions int
-	// Logf, when set, receives progress lines.
-	Logf func(format string, args ...any)
-}
 
 // SweepRow is one rate's outcome. Completed and Identical are outcome
 // invariants: for a fixed seed they are reproducible run to run even
@@ -48,34 +30,28 @@ type SweepRow struct {
 	Identical int // archives byte-identical to the source archive
 }
 
-// ChaosSweep pushes the archive through a freshly built in-process fleet
-// once per rate, with netfault wrapping the coordinator control plane,
-// the coordinator and node ingest listeners, the members' heartbeat
-// transport, and the pusher's dials.
-func ChaosSweep(cfg SweepConfig) ([]SweepRow, error) {
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 2
+// Check reports a violation of the sweep's invariant: at every rate, every
+// session must archive byte-identical — the fleet loses no data.
+func (r SweepRow) Check() error {
+	if r.Identical != r.Sessions {
+		return fmt.Errorf("only %d/%d sessions archived byte-identical at rate %.2f — the fleet lost data",
+			r.Identical, r.Sessions, r.Rate)
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if len(cfg.Rates) == 0 {
-		cfg.Rates = []float64{0, 1, 2}
-	}
-	rows := make([]SweepRow, 0, len(cfg.Rates))
-	for _, rate := range cfg.Rates {
-		row, err := sweepOnce(cfg, rate)
-		if err != nil {
-			return rows, fmt.Errorf("fleet sweep at rate %g: %w", rate, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return nil
+}
+
+// ChaosSweep is `jportal chaos -fleet`: it pushes the archive through a
+// freshly built in-process fleet (coordinator + two nodes) once per rate,
+// with netfault.DefaultMatrix(cfg.Seed) scaled by the rate wrapping the
+// coordinator control plane, the coordinator and node ingest listeners,
+// the members' heartbeat transport, and the pusher's dials.
+func ChaosSweep(cfg seeded.SweepConfig) ([]SweepRow, error) {
+	return seeded.Sweep(cfg, "fleet", sweepOnce)
 }
 
 // sweepOnce builds one faulted fleet, pushes the sessions sequentially,
 // and verifies the archived bytes against the source archive.
-func sweepOnce(cfg SweepConfig, rate float64) (SweepRow, error) {
+func sweepOnce(cfg seeded.SweepConfig, rate float64) (SweepRow, error) {
 	row := SweepRow{Rate: rate, Matrix: netfault.DefaultMatrix(cfg.Seed).Scale(rate), Sessions: cfg.Sessions}
 	inj := netfault.NewInjector(row.Matrix, metrics.Default)
 
@@ -118,14 +94,16 @@ func sweepOnce(cfg SweepConfig, rate float64) (SweepRow, error) {
 		member *Member
 	}
 	var nodes []fleetNode
-	defer func() {
+	stopNodes := func() {
 		for _, n := range nodes {
 			n.member.Stop()
 			shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			n.srv.Shutdown(shCtx)
 			cancel()
 		}
-	}()
+		nodes = nil
+	}
+	defer stopNodes()
 	for _, name := range []string{"sweep-a", "sweep-b"} {
 		srv, err := ingest.NewServer(ingest.Config{DataDir: dataDir})
 		if err != nil {
@@ -185,38 +163,14 @@ func sweepOnce(cfg SweepConfig, rate float64) (SweepRow, error) {
 	}
 
 	// Drain the nodes before comparing, so sealed archives are flushed.
-	for _, n := range nodes {
-		n.member.Stop()
-		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		n.srv.Shutdown(shCtx)
-		cancel()
-	}
-	nodes = nil
+	stopNodes()
 
 	for _, id := range ids {
-		if archiveIdentical(cfg.ArchiveDir, filepath.Join(dataDir, id)) {
+		if jportal.ArchivesIdentical(cfg.ArchiveDir, filepath.Join(dataDir, id)) {
 			row.Identical++
 		}
 	}
 	return row, nil
-}
-
-// archiveIdentical compares the record stream and program metadata bytes.
-func archiveIdentical(localDir, pushedDir string) bool {
-	for _, name := range []string{"stream.jpt", "program.gob"} {
-		a, err := os.ReadFile(filepath.Join(localDir, name))
-		if err != nil {
-			return false
-		}
-		b, err := os.ReadFile(filepath.Join(pushedDir, name))
-		if err != nil {
-			return false
-		}
-		if len(a) != len(b) || string(a) != string(b) {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatSweep renders the sweep table. Only outcome invariants are

@@ -11,6 +11,8 @@ package fleet
 import (
 	"hash/fnv"
 	"sort"
+
+	"jportal/internal/seeded"
 )
 
 // vnodesPerNode is the number of ring positions each member occupies.
@@ -60,32 +62,22 @@ func BuildRing(members map[string]string) *Ring {
 	return r
 }
 
-// ringHash positions vnode v of a member on the ring.
+// ringHash positions vnode v of a member on the ring. Raw FNV-1a over
+// near-identical inputs ("node-0#1", "node-0#2", …) leaves the high bits
+// correlated, which would cluster a member's vnodes; the finalizer
+// avalanches every input bit across the whole word.
 func ringHash(name string, v int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	h.Write([]byte{'#', byte(v), byte(v >> 8)})
-	return mix64(h.Sum64())
+	return seeded.Finalize(h.Sum64())
 }
 
 // keyHash positions a session id on the ring.
 func keyHash(sessionID string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(sessionID))
-	return mix64(h.Sum64())
-}
-
-// mix64 is a splitmix64-style finalizer. Raw FNV-1a over near-identical
-// inputs ("node-0#1", "node-0#2", …) leaves the high bits correlated,
-// which clusters a member's vnodes and skews the arc lengths badly; the
-// finalizer avalanches every input bit across the whole word.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return seeded.Finalize(h.Sum64())
 }
 
 // Len reports the number of members.

@@ -137,6 +137,28 @@ func TestSubmitSequencingRules(t *testing.T) {
 	if len(sess.queue) != 1 || sess.nextEnqueue != 9 {
 		t.Fatalf("queue=%d nextEnqueue=%d after accept", len(sess.queue), sess.nextEnqueue)
 	}
+
+	// A reconnect re-syncs the gate to the durable frontier while frames of
+	// the old connection are still queued; the writer then archives them and
+	// the frontier passes the gate. The next frame is in order and must be
+	// accepted — a NACK asking for an already-ACKed seq livelocks the client.
+	<-sess.queue
+	sess.lastAcked, sess.nextEnqueue = 5, 8
+	sess.nextEnqueue = sess.lastAcked + 1 // attach's re-sync
+	sess.lastAcked = 7                    // the writer archived queued 6 and 7
+	if !sess.submit(msg{typ: FrameChunk, seq: 8, data: []byte{1}}, fc.cw) {
+		t.Fatal("in-order frame past a re-synced gate closed the connection")
+	}
+	fc.expectNone(t)
+	if len(sess.queue) != 1 || sess.nextEnqueue != 9 {
+		t.Fatalf("queue=%d nextEnqueue=%d after accept past a re-synced gate", len(sess.queue), sess.nextEnqueue)
+	}
+	// A gap is measured from the frontier too, never from the stale gate.
+	sess.nextEnqueue = 6
+	if !sess.submit(msg{typ: FrameChunk, seq: 12}, fc.cw) {
+		t.Fatal("gap closed the connection")
+	}
+	fc.expect(t, FrameNack, 8)
 }
 
 func TestPolicyNackOverflow(t *testing.T) {

@@ -1006,6 +1006,12 @@ func (sess *session) submit(m msg, cw *connWriter) bool {
 		return false
 	}
 	if m.typ != FrameFin {
+		// The gate never sits below the durable frontier: after a reconnect
+		// re-synced nextEnqueue to lastAcked+1, the writer can still archive
+		// frames queued by the old connection and move lastAcked past it.
+		// Gating on the stale nextEnqueue would NACK every new frame with a
+		// want the client already holds an ACK for, for ever.
+		next := max(sess.nextEnqueue, sess.lastAcked+1)
 		switch {
 		case m.seq <= sess.lastAcked:
 			// Re-delivery of something already archived (the client lost
@@ -1015,16 +1021,15 @@ func (sess *session) submit(m msg, cw *connWriter) bool {
 			sess.srv.metrics.Duplicates.Add(1)
 			cw.send(FrameAck, AppendSeq(nil, acked))
 			return true
-		case m.seq < sess.nextEnqueue:
+		case m.seq < next:
 			// Already queued but not yet archived; the ACK is coming.
 			sess.mu.Unlock()
 			sess.srv.metrics.Duplicates.Add(1)
 			return true
-		case m.seq > sess.nextEnqueue:
+		case m.seq > next:
 			// Gap: frames were dropped (NACK policy) or reordered.
-			want := sess.nextEnqueue
 			sess.mu.Unlock()
-			return sess.shed(cw, want)
+			return sess.shed(cw, next)
 		}
 	}
 	sess.mu.Unlock()

@@ -8,13 +8,13 @@
 // followed by an error, the shape of a crash mid-sector), and slow I/O.
 //
 // Determinism contract: for a fixed Matrix (seed included) every decision
-// draws from a per-scope splitmix64 stream, one fixed-order draw set per
-// operation in that scope, so the nth faultable operation of a scope always
-// meets the same fate regardless of what other scopes did meanwhile. The
-// ingest server serialises each session's archive writes in one writer
-// goroutine, which totally orders that scope's operations — the property
-// that makes `jportal chaos -disk` reproduce the same sweep table for the
-// same seed.
+// draws from a per-scope seeded stream (seeded.Scope), one fixed-order
+// draw set per operation in that scope, so the nth faultable operation of
+// a scope always meets the same fate regardless of what other scopes did
+// meanwhile. The ingest server serialises each session's archive writes
+// in one writer goroutine, which totally orders that scope's operations —
+// the property that makes `jportal chaos -disk` reproduce the same sweep
+// table for the same seed.
 //
 // A nil injector or a zero (rate-0) matrix is pass-through: FS returns the
 // OS singleton itself — the identical interface value the unfaulted paths
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"jportal/internal/metrics"
+	"jportal/internal/seeded"
 )
 
 // Class identifies one injected storage-fault kind.
@@ -79,8 +80,12 @@ func (c Class) Slug() string {
 	return "unknown"
 }
 
+// counterPrefix names the injection counters: "<prefix>_total"
+// (metrics.CounterIofaultInjected) and "<prefix>_<slug>" per class.
+const counterPrefix = "iofault_injected"
+
 // InjectCounterName is the metrics key mirroring injections of this class.
-func (c Class) InjectCounterName() string { return "iofault_injected_" + c.Slug() }
+func (c Class) InjectCounterName() string { return counterPrefix + "_" + c.Slug() }
 
 // Classes lists every fault class in declaration order.
 func Classes() []Class {
@@ -142,22 +147,12 @@ func DefaultMatrix(seed uint64) Matrix {
 // Scale multiplies every probability by f (clamped to 1) and scales the
 // delay bound. Scale(0) is the pass-through matrix.
 func (m Matrix) Scale(f float64) Matrix {
-	clamp := func(p float64) float64 {
-		p *= f
-		if p > 1 {
-			return 1
-		}
-		if p < 0 {
-			return 0
-		}
-		return p
-	}
-	m.ENOSPC = clamp(m.ENOSPC)
-	m.ReadErr = clamp(m.ReadErr)
-	m.WriteErr = clamp(m.WriteErr)
-	m.SyncErr = clamp(m.SyncErr)
-	m.TornWrite = clamp(m.TornWrite)
-	m.Slow = clamp(m.Slow)
+	m.ENOSPC = seeded.ScaleProb(m.ENOSPC, f)
+	m.ReadErr = seeded.ScaleProb(m.ReadErr, f)
+	m.WriteErr = seeded.ScaleProb(m.WriteErr, f)
+	m.SyncErr = seeded.ScaleProb(m.SyncErr, f)
+	m.TornWrite = seeded.ScaleProb(m.TornWrite, f)
+	m.Slow = seeded.ScaleProb(m.Slow, f)
 	m.SlowMax = time.Duration(float64(m.SlowMax) * f)
 	return m
 }
@@ -232,28 +227,6 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// splitmix is the splitmix64 generator (same shape as internal/netfault's).
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// chance returns true with probability p.
-func (s *splitmix) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return float64(s.next()>>11)/float64(1<<53) < p
-}
-
 // op identifies which fault classes apply to one operation.
 type op uint8
 
@@ -277,12 +250,11 @@ type action struct {
 // Injector hands out per-operation verdicts and wraps filesystems.
 // Nil-safe: a nil *Injector injects nothing. Safe for concurrent use.
 type Injector struct {
-	m   Matrix
-	reg *metrics.Registry
+	m      Matrix
+	counts *metrics.ClassCounter
 
 	mu     sync.Mutex
-	scopes map[string]*splitmix
-	counts [numClasses]int64
+	scopes map[string]*seeded.Stream
 }
 
 // NewInjector builds an injector over m, mirroring injection counts into
@@ -290,50 +262,30 @@ type Injector struct {
 // counters are pre-registered at zero so they are present — and zero — on
 // rate-0 runs.
 func NewInjector(m Matrix, reg *metrics.Registry) *Injector {
-	in := &Injector{m: m, reg: reg, scopes: make(map[string]*splitmix)}
-	reg.Add(metrics.CounterIofaultInjected, 0)
-	for c := Class(0); c < numClasses; c++ {
-		reg.Add(c.InjectCounterName(), 0)
-	}
-	return in
+	slug := func(c int) string { return Class(c).Slug() }
+	return &Injector{m: m, counts: metrics.NewClassCounter(reg, counterPrefix, int(numClasses), slug),
+		scopes: make(map[string]*seeded.Stream)}
 }
 
 // Counts returns per-class injection counts keyed by slug.
 func (in *Injector) Counts() map[string]int64 {
-	out := make(map[string]int64, numClasses)
 	if in == nil {
-		return out
+		return map[string]int64{}
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for c := Class(0); c < numClasses; c++ {
-		out[c.Slug()] = in.counts[c]
-	}
-	return out
+	return in.counts.Counts()
 }
 
-func (in *Injector) scope(name string) *splitmix {
+func (in *Injector) scope(name string) *seeded.Stream {
 	sc, ok := in.scopes[name]
 	if !ok {
-		// Seed each scope from the matrix seed and an FNV-1a hash of its
-		// name, run through one splitmix step so nearby hashes decorrelate.
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(name); i++ {
-			h ^= uint64(name[i])
-			h *= 1099511628211
-		}
-		seed := splitmix{state: in.m.Seed ^ h}
-		sc = &splitmix{state: seed.next()}
+		s := seeded.Scope(in.m.Seed, name)
+		sc = &s
 		in.scopes[name] = sc
 	}
 	return sc
 }
 
-func (in *Injector) count(c Class) {
-	in.counts[c]++
-	in.reg.Add(metrics.CounterIofaultInjected, 1)
-	in.reg.Add(c.InjectCounterName(), 1)
-}
+func (in *Injector) count(c Class) { in.counts.Inc(int(c)) }
 
 // next draws one operation's fate from the scope's stream. Every draw is
 // made regardless of the operation kind, so the stream position after n
@@ -345,14 +297,14 @@ func (in *Injector) next(scope string, kind op, size int) action {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	sc := in.scope(scope)
-	enospc := sc.chance(in.m.ENOSPC)
-	readErr := sc.chance(in.m.ReadErr)
-	writeErr := sc.chance(in.m.WriteErr)
-	syncErr := sc.chance(in.m.SyncErr)
-	torn := sc.chance(in.m.TornWrite)
-	slow := sc.chance(in.m.Slow)
-	slowDraw := sc.next()
-	tornDraw := sc.next()
+	enospc := sc.Chance(in.m.ENOSPC)
+	readErr := sc.Chance(in.m.ReadErr)
+	writeErr := sc.Chance(in.m.WriteErr)
+	syncErr := sc.Chance(in.m.SyncErr)
+	torn := sc.Chance(in.m.TornWrite)
+	slow := sc.Chance(in.m.Slow)
+	slowDraw := sc.Next()
+	tornDraw := sc.Next()
 
 	switch kind {
 	case opCreate:

@@ -20,6 +20,7 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/isa"
 	"jportal/internal/meta"
+	"jportal/internal/seeded"
 )
 
 // Options configures a compilation.
@@ -171,17 +172,10 @@ func (n *NativeMethod) CondAddrAt(c CtxID, bci int32) uint64 {
 // Units returns the unit list (shared; do not mutate). Exposed for tests.
 func (n *NativeMethod) Units() []Unit { return n.units }
 
-// splitmix64 is a small deterministic hash for elision/approximation
+// hashPct is a deterministic percentile for elision/approximation
 // decisions.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 func hashPct(salt uint64, mid bytecode.MethodID, ctx CtxID, bci int32) int {
-	h := splitmix64(salt ^ uint64(mid)<<40 ^ uint64(uint32(ctx))<<20 ^ uint64(uint32(bci)))
+	h := seeded.Mix(salt ^ uint64(mid)<<40 ^ uint64(uint32(ctx))<<20 ^ uint64(uint32(bci)))
 	return int(h % 100)
 }
 

@@ -1,6 +1,9 @@
 package metrics
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Registry is a process-wide set of named monotonic counters: the export
 // surface for the fault-injection and quarantine accounting (DESIGN.md §10).
@@ -113,6 +116,48 @@ func (r *Registry) Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(r.counters))
 	for k, v := range r.counters {
 		out[k] = v
+	}
+	return out
+}
+
+// ClassCounter counts one fault injector's injections per class. It
+// mirrors each count into a registry as "<prefix>_total" and
+// "<prefix>_<slug>", all pre-registered at zero so a rate-0 run still
+// exposes the full vocabulary. Safe for concurrent use.
+type ClassCounter struct {
+	reg    *Registry
+	total  string
+	slugs  []string
+	names  []string
+	counts []atomic.Int64
+}
+
+// NewClassCounter registers the counters for classes 0..n-1, named by
+// slug, under prefix in reg (nil drops the mirror; counts are still kept).
+func NewClassCounter(reg *Registry, prefix string, n int, slug func(class int) string) *ClassCounter {
+	c := &ClassCounter{reg: reg, total: prefix + "_total",
+		slugs: make([]string, n), names: make([]string, n), counts: make([]atomic.Int64, n)}
+	reg.Add(c.total, 0)
+	for i := range c.slugs {
+		c.slugs[i] = slug(i)
+		c.names[i] = prefix + "_" + c.slugs[i]
+		reg.Add(c.names[i], 0)
+	}
+	return c
+}
+
+// Inc counts one injection of class.
+func (c *ClassCounter) Inc(class int) {
+	c.counts[class].Add(1)
+	c.reg.Add(c.total, 1)
+	c.reg.Add(c.names[class], 1)
+}
+
+// Counts returns the per-class counts keyed by slug, zeros included.
+func (c *ClassCounter) Counts() map[string]int64 {
+	out := make(map[string]int64, len(c.slugs))
+	for i, slug := range c.slugs {
+		out[slug] = c.counts[i].Load()
 	}
 	return out
 }

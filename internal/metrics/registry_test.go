@@ -54,3 +54,26 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("n = %d, want 8000", got)
 	}
 }
+
+func TestClassCounter(t *testing.T) {
+	r := NewRegistry()
+	slugs := []string{"drop", "tear"}
+	c := NewClassCounter(r, "x_injected", len(slugs), func(i int) string { return slugs[i] })
+	snap := r.Snapshot()
+	if len(snap) != 3 || snap["x_injected_total"] != 0 || snap["x_injected_drop"] != 0 || snap["x_injected_tear"] != 0 {
+		t.Fatalf("pre-registration = %v", snap)
+	}
+	c.Inc(1)
+	c.Inc(1)
+	if got := c.Counts(); len(got) != 2 || got["drop"] != 0 || got["tear"] != 2 {
+		t.Fatalf("counts = %v", got)
+	}
+	if r.Get("x_injected_total") != 2 || r.Get("x_injected_tear") != 2 {
+		t.Fatalf("registry mirror = %v", r.Snapshot())
+	}
+	unmirrored := NewClassCounter(nil, "y", 1, func(int) string { return "z" })
+	unmirrored.Inc(0)
+	if unmirrored.Counts()["z"] != 1 {
+		t.Fatal("a nil registry dropped the count itself")
+	}
+}

@@ -7,12 +7,12 @@
 // dropped outright, and latency added to the handshake.
 //
 // Determinism contract: for a fixed Matrix (seed included) every decision
-// draws from a per-scope splitmix64 stream, one draw set per connection in
-// that scope, so the nth connection of a scope always meets the same fate
-// regardless of what other scopes did meanwhile. Scopes isolate the
-// nondeterministic edges (heartbeat timing) from the deterministic ones
-// (a client's sequential dials), which is what makes `jportal chaos
-// -fleet` reproduce the same sweep table for the same seed.
+// draws from a per-scope seeded stream (seeded.Scope), one draw set per
+// connection in that scope, so the nth connection of a scope always meets
+// the same fate regardless of what other scopes did meanwhile. Scopes
+// isolate the nondeterministic edges (heartbeat timing) from the
+// deterministic ones (a client's sequential dials), which is what makes
+// `jportal chaos -fleet` reproduce the same sweep table for the same seed.
 //
 // A zero (or rate-0) Matrix is pass-through: Listener and Dialer return
 // their argument unchanged, so the no-netfault path is byte-identical by
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"jportal/internal/metrics"
+	"jportal/internal/seeded"
 )
 
 // Class identifies one injected network-fault kind.
@@ -66,8 +67,12 @@ func (c Class) Slug() string {
 	return "unknown"
 }
 
+// counterPrefix names the injection counters: "<prefix>_total"
+// (metrics.CounterNetfaultInjected) and "<prefix>_<slug>" per class.
+const counterPrefix = "netfault_injected"
+
 // InjectCounterName is the metrics key mirroring injections of this class.
-func (c Class) InjectCounterName() string { return "netfault_injected_" + c.Slug() }
+func (c Class) InjectCounterName() string { return counterPrefix + "_" + c.Slug() }
 
 // Matrix is one fault configuration: per-connection probabilities plus the
 // seed every decision derives from.
@@ -109,19 +114,9 @@ func DefaultMatrix(seed uint64) Matrix {
 // Scale multiplies every probability by f (clamped to 1) and scales the
 // delay bound. Scale(0) is the pass-through matrix.
 func (m Matrix) Scale(f float64) Matrix {
-	clamp := func(p float64) float64 {
-		p *= f
-		if p > 1 {
-			return 1
-		}
-		if p < 0 {
-			return 0
-		}
-		return p
-	}
-	m.ConnDrop = clamp(m.ConnDrop)
-	m.Tear = clamp(m.Tear)
-	m.Partition = clamp(m.Partition)
+	m.ConnDrop = seeded.ScaleProb(m.ConnDrop, f)
+	m.Tear = seeded.ScaleProb(m.Tear, f)
+	m.Partition = seeded.ScaleProb(m.Partition, f)
 	m.DelayMax = time.Duration(float64(m.DelayMax) * f)
 	return m
 }
@@ -131,34 +126,9 @@ func (m Matrix) active() bool {
 	return m.ConnDrop > 0 || m.Tear > 0 || m.Partition > 0 || m.DelayMax > 0
 }
 
-// splitmix is the splitmix64 generator (same shape as internal/fault's).
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// chance returns true with probability p.
-func (s *splitmix) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return float64(s.next()>>11)/float64(1<<53) < p
-}
-
-// intn returns a value in [0, n).
-func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
-
 // scopeState is one named stream's RNG plus any partition in progress.
 type scopeState struct {
-	rng           splitmix
+	rng           seeded.Stream
 	partitionLeft int
 }
 
@@ -175,12 +145,11 @@ type verdict struct {
 // Injector hands out per-connection verdicts and wraps listeners/dialers.
 // Nil-safe: a nil *Injector injects nothing. Safe for concurrent use.
 type Injector struct {
-	m   Matrix
-	reg *metrics.Registry
+	m      Matrix
+	counts *metrics.ClassCounter
 
 	mu     sync.Mutex
 	scopes map[string]*scopeState
-	counts [numClasses]int64
 }
 
 // NewInjector builds an injector over m, mirroring injection counts into
@@ -188,50 +157,29 @@ type Injector struct {
 // counters are pre-registered at zero so they are present — and zero — on
 // rate-0 runs.
 func NewInjector(m Matrix, reg *metrics.Registry) *Injector {
-	in := &Injector{m: m, reg: reg, scopes: make(map[string]*scopeState)}
-	reg.Add(metrics.CounterNetfaultInjected, 0)
-	for c := Class(0); c < numClasses; c++ {
-		reg.Add(c.InjectCounterName(), 0)
-	}
-	return in
+	slug := func(c int) string { return Class(c).Slug() }
+	return &Injector{m: m, counts: metrics.NewClassCounter(reg, counterPrefix, int(numClasses), slug),
+		scopes: make(map[string]*scopeState)}
 }
 
-// Counts returns per-class injection counts (indexed by Class).
+// Counts returns per-class injection counts keyed by slug.
 func (in *Injector) Counts() map[string]int64 {
-	out := make(map[string]int64, numClasses)
 	if in == nil {
-		return out
+		return map[string]int64{}
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for c := Class(0); c < numClasses; c++ {
-		out[c.Slug()] = in.counts[c]
-	}
-	return out
+	return in.counts.Counts()
 }
 
 func (in *Injector) scope(name string) *scopeState {
 	sc, ok := in.scopes[name]
 	if !ok {
-		// Seed each scope from the matrix seed and an FNV-1a hash of its
-		// name, run through one splitmix step so nearby hashes decorrelate.
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(name); i++ {
-			h ^= uint64(name[i])
-			h *= 1099511628211
-		}
-		seed := splitmix{state: in.m.Seed ^ h}
-		sc = &scopeState{rng: splitmix{state: seed.next()}}
+		sc = &scopeState{rng: seeded.Scope(in.m.Seed, name)}
 		in.scopes[name] = sc
 	}
 	return sc
 }
 
-func (in *Injector) count(c Class) {
-	in.counts[c]++
-	in.reg.Add(metrics.CounterNetfaultInjected, 1)
-	in.reg.Add(c.InjectCounterName(), 1)
-}
+func (in *Injector) count(c Class) { in.counts.Inc(int(c)) }
 
 // next draws one connection's verdict from the scope's stream.
 func (in *Injector) next(scope string) verdict {
@@ -248,15 +196,15 @@ func (in *Injector) next(scope string) verdict {
 	}
 	// Fixed draw order, every draw made: the stream advances identically
 	// whether or not a given fault fires.
-	part := sc.rng.chance(in.m.Partition)
-	drop := sc.rng.chance(in.m.ConnDrop)
-	tear := sc.rng.chance(in.m.Tear)
+	part := sc.rng.Chance(in.m.Partition)
+	drop := sc.rng.Chance(in.m.ConnDrop)
+	tear := sc.rng.Chance(in.m.Tear)
 	tearMax := in.m.TearAfterMax
 	if tearMax <= 0 {
 		tearMax = 4096
 	}
-	tearAfter := sc.rng.intn(tearMax) + 1
-	delayDraw := sc.rng.next()
+	tearAfter := sc.rng.Intn(tearMax) + 1
+	delayDraw := sc.rng.Next()
 	switch {
 	case part:
 		span := in.m.PartitionSpan

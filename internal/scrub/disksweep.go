@@ -25,26 +25,9 @@ import (
 	"jportal/internal/ingest/client"
 	"jportal/internal/iofault"
 	"jportal/internal/metrics"
+	"jportal/internal/seeded"
 	"jportal/internal/streamfmt"
 )
-
-// DiskSweepConfig configures one `jportal chaos -disk` sweep.
-type DiskSweepConfig struct {
-	// ArchiveDir is a sealed chunked archive (collect -chunked output) to
-	// push through the faulted storage.
-	ArchiveDir string
-	// SourceID is the archive's trace-source backend ("" = default).
-	SourceID string
-	// Seed feeds the iofault matrix.
-	Seed uint64
-	// Rates are the iofault.DefaultMatrix scale factors to sweep.
-	Rates []float64
-	// Sessions is how many clean-path sessions to push per rate
-	// (default 2). One torn-tail victim rides along on top of these.
-	Sessions int
-	// Logf, when set, receives progress lines.
-	Logf func(format string, args ...any)
-}
 
 // DiskSweepRow is one rate's outcome: invariants only (counts, not
 // timings), so the table is byte-comparable in CI.
@@ -65,34 +48,34 @@ type DiskSweepRow struct {
 	Corrupt int
 }
 
+// Check reports a violation of the durability invariant: an upload may
+// fail honestly under sustained injected faults, but a completed one must
+// be byte-identical — and with no faults, everything completes.
+func (r DiskSweepRow) Check() error {
+	if r.Corrupt > 0 {
+		return fmt.Errorf("%d archive(s) completed but are not byte-identical at rate %.2f — silent corruption",
+			r.Corrupt, r.Rate)
+	}
+	if r.Rate == 0 && (r.Completed != r.Sessions || r.Identical != r.Sessions) {
+		return fmt.Errorf("%d/%d completed, %d/%d identical with zero faults injected",
+			r.Completed, r.Sessions, r.Identical, r.Sessions)
+	}
+	return nil
+}
+
 // sweepChunkBytes is the client chunking used for every push in the
 // sweep and for crafting the torn victim's frontier: the two must agree
 // so the victim's resumed frames line up with its fabricated state.
 const sweepChunkBytes = 4096
 
-// DiskSweep runs the sweep.
-func DiskSweep(cfg DiskSweepConfig) ([]DiskSweepRow, error) {
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 2
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if len(cfg.Rates) == 0 {
-		cfg.Rates = []float64{0, 1, 2}
-	}
-	rows := make([]DiskSweepRow, 0, len(cfg.Rates))
-	for _, rate := range cfg.Rates {
-		row, err := diskSweepOnce(cfg, rate)
-		if err != nil {
-			return rows, fmt.Errorf("disk sweep at rate %g: %w", rate, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+// DiskSweep runs the sweep with iofault.DefaultMatrix(cfg.Seed) scaled by
+// each rate. cfg.Sessions clean-path sessions are pushed per rate; one
+// torn-tail victim rides along on top of these.
+func DiskSweep(cfg seeded.SweepConfig) ([]DiskSweepRow, error) {
+	return seeded.Sweep(cfg, "disk", diskSweepOnce)
 }
 
-func diskSweepOnce(cfg DiskSweepConfig, rate float64) (DiskSweepRow, error) {
+func diskSweepOnce(cfg seeded.SweepConfig, rate float64) (DiskSweepRow, error) {
 	row := DiskSweepRow{
 		Rate:     rate,
 		Matrix:   iofault.DefaultMatrix(cfg.Seed).Scale(rate),
@@ -134,10 +117,10 @@ func diskSweepOnce(cfg DiskSweepConfig, rate float64) (DiskSweepRow, error) {
 	// archive with a flipped byte inside the acknowledged prefix and no
 	// peer holding a copy: unrepairable, so it must be quarantined.
 	const victimID = "chaos-disk-victim"
-	if err := craftTornVictim(dataDir, victimID, cfg.ArchiveDir); err != nil {
+	if err := plantSession(dataDir, victimID, cfg.ArchiveDir, tornVictim); err != nil {
 		return row, err
 	}
-	if err := craftMangled(dataDir, "chaos-disk-mangled", cfg.ArchiveDir); err != nil {
+	if err := plantSession(dataDir, "chaos-disk-mangled", cfg.ArchiveDir, mangled); err != nil {
 		return row, err
 	}
 
@@ -167,7 +150,7 @@ func diskSweepOnce(cfg DiskSweepConfig, rate float64) (DiskSweepRow, error) {
 	}
 
 	for _, id := range ids {
-		identical := diskArchiveIdentical(cfg.ArchiveDir, filepath.Join(dataDir, id))
+		identical := jportal.ArchivesIdentical(cfg.ArchiveDir, filepath.Join(dataDir, id))
 		if identical {
 			row.Identical++
 		}
@@ -201,7 +184,7 @@ func withIngestServer(dataDir string, inj *iofault.Injector, fn func(addr string
 
 // pushSweepSession pushes the sweep archive as one session, absorbing
 // fault-induced retries. Completion, not latency, is the invariant.
-func pushSweepSession(cfg DiskSweepConfig, addr, id string) bool {
+func pushSweepSession(cfg seeded.SweepConfig, addr, id string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	_, err := client.PushArchive(ctx, client.Options{
@@ -243,34 +226,50 @@ func sweepFrames(records []byte) ([][]byte, error) {
 	return frames, nil
 }
 
-// craftTornVictim fabricates the on-disk shape of a session whose server
-// died mid-record: archive.meta and program.gob verbatim from the source
-// archive, a stream holding the first half of the client's frames plus a
-// partial record, and an ingest.state frontier pointing at the boundary
-// before the tear.
-func craftTornVictim(dataDir, id, archiveDir string) error {
-	stream, program, meta, err := readSweepArchive(archiveDir)
-	if err != nil {
-		return err
-	}
-	frames, err := sweepFrames(stream[streamfmt.HeaderLen:])
-	if err != nil {
-		return err
-	}
-	if len(frames) < 2 {
-		return errors.New("scrub: sweep archive too small to tear (need at least two frames)")
-	}
-	c := len(frames) / 2 // chunk frames already acknowledged
+// plantSession fabricates session id under dataDir from the sweep
+// archive: archive.meta and program.gob verbatim, plus the stream and
+// ingest.state that craft derives from the archive's stream.
+func plantSession(dataDir, id, archiveDir string, craft func(stream []byte) ([]byte, ingest.SessionState, error)) error {
 	dir := filepath.Join(dataDir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "archive.meta"), meta, 0o644); err != nil {
+	for _, name := range []string{"archive.meta", "program.gob"} {
+		b, err := os.ReadFile(filepath.Join(archiveDir, name))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			return err
+		}
+	}
+	stream, err := os.ReadFile(filepath.Join(archiveDir, jportal.StreamFileName))
+	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "program.gob"), program, 0o644); err != nil {
+	img, st, err := craft(stream)
+	if err != nil {
 		return err
 	}
+	if err := os.WriteFile(filepath.Join(dir, jportal.StreamFileName), img, 0o644); err != nil {
+		return err
+	}
+	return ingest.WriteSessionState(dir, st)
+}
+
+// tornVictim crafts the on-disk shape of a session whose server died
+// mid-record: a stream holding the first half of the client's frames plus
+// a partial record, and an ingest.state frontier pointing at the boundary
+// before the tear.
+func tornVictim(stream []byte) ([]byte, ingest.SessionState, error) {
+	frames, err := sweepFrames(stream[streamfmt.HeaderLen:])
+	if err != nil {
+		return nil, ingest.SessionState{}, err
+	}
+	if len(frames) < 2 {
+		return nil, ingest.SessionState{}, errors.New("scrub: sweep archive too small to tear (need at least two frames)")
+	}
+	c := len(frames) / 2 // chunk frames already acknowledged
 	img := append([]byte(nil), stream[:streamfmt.HeaderLen]...)
 	for _, f := range frames[:c] {
 		img = append(img, f...)
@@ -282,79 +281,22 @@ func craftTornVictim(dataDir, id, archiveDir string) error {
 	next := frames[c]
 	n, err := streamfmt.Scan(next)
 	if err != nil {
-		return err
-	}
-	img = append(img, next[:n-1]...)
-	if err := os.WriteFile(filepath.Join(dir, jportal.StreamFileName), img, 0o644); err != nil {
-		return err
+		return nil, ingest.SessionState{}, err
 	}
 	// Frame seq 1 is the program; chunk frames follow, so c acknowledged
 	// chunk frames put the frontier at seq 1+c.
-	return ingest.WriteSessionState(dir, ingest.SessionState{
-		Seq: uint64(1 + c), Size: frontier, CRC: crc, Sealed: false,
-	})
+	return append(img, next[:n-1]...), ingest.SessionState{Seq: uint64(1 + c), Size: frontier, CRC: crc}, nil
 }
 
-// craftMangled fabricates a sealed session with a flipped byte inside the
+// mangled crafts a sealed session with a flipped byte inside the
 // acknowledged prefix: unrepairable without a peer copy.
-func craftMangled(dataDir, id, archiveDir string) error {
-	stream, program, meta, err := readSweepArchive(archiveDir)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Join(dataDir, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "archive.meta"), meta, 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "program.gob"), program, 0o644); err != nil {
-		return err
-	}
+func mangled(stream []byte) ([]byte, ingest.SessionState, error) {
 	img := append([]byte(nil), stream...)
 	img[streamfmt.HeaderLen] ^= 0xFF // first record's tag byte
-	if err := os.WriteFile(filepath.Join(dir, jportal.StreamFileName), img, 0o644); err != nil {
-		return err
-	}
-	return ingest.WriteSessionState(dir, ingest.SessionState{
+	return img, ingest.SessionState{
 		Seq: 1, Size: int64(len(img)),
 		CRC: crc32.ChecksumIEEE(stream[:len(stream)-5]), Sealed: true,
-	})
-}
-
-func readSweepArchive(archiveDir string) (stream, program, meta []byte, err error) {
-	stream, err = os.ReadFile(filepath.Join(archiveDir, jportal.StreamFileName))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	program, err = os.ReadFile(filepath.Join(archiveDir, "program.gob"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	meta, err = os.ReadFile(filepath.Join(archiveDir, "archive.meta"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return stream, program, meta, nil
-}
-
-// diskArchiveIdentical compares the record stream and program bytes.
-func diskArchiveIdentical(srcDir, dstDir string) bool {
-	for _, name := range []string{jportal.StreamFileName, "program.gob"} {
-		a, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			return false
-		}
-		b, err := os.ReadFile(filepath.Join(dstDir, name))
-		if err != nil {
-			return false
-		}
-		if string(a) != string(b) {
-			return false
-		}
-	}
-	return true
+	}, nil
 }
 
 // FormatDiskSweep renders the sweep table: outcome invariants plus the

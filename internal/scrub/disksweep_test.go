@@ -3,6 +3,7 @@ package scrub
 import (
 	"testing"
 
+	"jportal/internal/seeded"
 	"jportal/internal/streamfmt"
 )
 
@@ -21,7 +22,7 @@ func TestDiskSweepDeterministic(t *testing.T) {
 		t.Fatalf("sweep archive too small: %d frames, %v", len(frames), err)
 	}
 
-	cfg := DiskSweepConfig{
+	cfg := seeded.SweepConfig{
 		ArchiveDir: archiveDir,
 		Seed:       42,
 		Rates:      []float64{0, 1},

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"errors"
+
+	"jportal/internal/seeded"
 )
 
 // Run executes the given threads to completion under the round-robin
@@ -46,7 +48,7 @@ func (m *Machine) Run(specs []ThreadSpec) (*Stats, error) {
 		if j == 0 {
 			return tsc
 		}
-		h := splitmixVM(uint64(core)<<32 ^ tsc ^ uint64(tid)*0x9e37)
+		h := seeded.Mix(uint64(core)<<32 ^ tsc ^ uint64(tid)*0x9e37)
 		d := h % (2 * j) // uniform in [0, 2j)
 		if tsc+d < j {
 			return 0
@@ -169,10 +171,3 @@ func (m *Machine) currentIP(t *thread) uint64 {
 
 // FinalTSC returns the maximum core clock (valid after Run).
 func (m *Machine) FinalTSC() uint64 { return m.Stats.Cycles }
-
-func splitmixVM(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jportal/internal/bytecode"
+	"jportal/internal/seeded"
 	"jportal/internal/vm"
 )
 
@@ -19,12 +20,12 @@ func sc(base int, scale Scale) int {
 // loop over a synthetic "program" array, dispatching through a tableswitch
 // to per-opcode handler methods — the branchiest of the subjects.
 func genAvrora(scale Scale) *Subject {
-	r := newRng(0xa7404a)
+	r := seeded.NewStream(0xa7404a)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 
 	var leaves []bytecode.MethodID
 	for i := 0; i < 28; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Ops", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Ops", i, &r)).ID)
 	}
 
 	const nHandlers = 12
@@ -32,14 +33,14 @@ func genAvrora(scale Scale) *Subject {
 	for i := 0; i < nHandlers; i++ {
 		b := bytecode.NewBuilder("Interp", fmt.Sprintf("op%d", i), 2) // (regA, regB)
 		b.ReturnsValue()
-		n := 1 + r.intn(3)
+		n := 1 + r.Intn(3)
 		for j := 0; j < n; j++ {
-			emitArith(b, r, 0, 1)
+			emitArith(b, &r, 0, 1)
 		}
 		if i%3 == 0 {
 			b.Iload(0)
 			b.Iload(1)
-			b.InvokeStatic(leaves[r.intn(len(leaves))])
+			b.InvokeStatic(leaves[r.Intn(len(leaves))])
 			b.Istore(0)
 		}
 		b.Iload(0)
@@ -112,12 +113,12 @@ func genAvrora(scale Scale) *Subject {
 // genBatik models a document-processing pipeline: deep static call chains
 // with moderate branching.
 func genBatik(scale Scale) *Subject {
-	r := newRng(0xba71c)
+	r := seeded.NewStream(0xba71c)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 
 	var leaves []bytecode.MethodID
 	for i := 0; i < 36; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Paint", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Paint", i, &r)).ID)
 	}
 
 	// A pipeline of stages, each calling the next 1-2 times plus leaves.
@@ -131,10 +132,10 @@ func genBatik(scale Scale) *Subject {
 		b.Iconst(int32(d + 1))
 		b.Iadd()
 		b.Istore(1)
-		for c := 0; c < 1+r.intn(2); c++ {
+		for c := 0; c < 1+r.Intn(2); c++ {
 			b.Iload(1)
 			b.Iload(0)
-			b.InvokeStatic(leaves[r.intn(len(leaves))])
+			b.InvokeStatic(leaves[r.Intn(len(leaves))])
 			b.Istore(1)
 		}
 		if prev != bytecode.NoMethod {
@@ -182,12 +183,12 @@ func genBatik(scale Scale) *Subject {
 // genFop models layout computation: binary tree recursion with branch
 // diamonds.
 func genFop(scale Scale) *Subject {
-	r := newRng(0xf0b)
+	r := seeded.NewStream(0xf0b)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 
 	var leaves []bytecode.MethodID
 	for i := 0; i < 24; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Area", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Area", i, &r)).ID)
 	}
 
 	// layout(depth, width): recursive.
@@ -224,7 +225,7 @@ func genFop(scale Scale) *Subject {
 	b.Label("measured")
 	b.Iload(1)
 	b.Iload(0)
-	b.InvokeStatic(leaves[r.intn(len(leaves))])
+	b.InvokeStatic(leaves[r.Intn(len(leaves))])
 	b.Ireturn()
 	layout := p.AddMethod(b.MustBuild()).ID
 
@@ -253,12 +254,12 @@ func genFop(scale Scale) *Subject {
 // loops dispatching operators through invokedyn, scanning arrays, with
 // occasional exceptions caught per query.
 func genH2(scale Scale) *Subject {
-	r := newRng(0x42)
+	r := seeded.NewStream(0x42)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 
 	var leaves []bytecode.MethodID
 	for i := 0; i < 20; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Util", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Util", i, &r)).ID)
 	}
 
 	// Six operators: (row, key) -> int; operator 5 throws on key%37==0.
@@ -273,12 +274,12 @@ func genH2(scale Scale) *Subject {
 			b.Athrow()
 			b.Label("ok")
 		}
-		for j := 0; j < 1+r.intn(3); j++ {
-			emitArith(b, r, 0, 1)
+		for j := 0; j < 1+r.Intn(3); j++ {
+			emitArith(b, &r, 0, 1)
 		}
 		if i%2 == 0 {
 			b.Iload(0).Iload(1)
-			b.InvokeStatic(leaves[r.intn(len(leaves))])
+			b.InvokeStatic(leaves[r.Intn(len(leaves))])
 			b.Istore(0)
 		}
 		b.Iload(0).Ireturn()
@@ -347,23 +348,23 @@ func genH2(scale Scale) *Subject {
 // genJython models a dynamic-language runtime: a bytecode-ish loop
 // dispatching through big dispatch tables (invokedyn everywhere).
 func genJython(scale Scale) *Subject {
-	r := newRng(0x97210)
+	r := seeded.NewStream(0x97210)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 
 	var leaves []bytecode.MethodID
 	for i := 0; i < 30; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Py", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Py", i, &r)).ID)
 	}
 
 	var pyops []bytecode.MethodID
 	for i := 0; i < 10; i++ {
 		b := bytecode.NewBuilder("PyOp", fmt.Sprintf("do%d", i), 2)
 		b.ReturnsValue()
-		for j := 0; j < 1+r.intn(2); j++ {
-			emitArith(b, r, 0, 1)
+		for j := 0; j < 1+r.Intn(2); j++ {
+			emitArith(b, &r, 0, 1)
 		}
 		b.Iload(0).Iload(1)
-		b.InvokeStatic(leaves[r.intn(len(leaves))])
+		b.InvokeStatic(leaves[r.Intn(len(leaves))])
 		b.Ireturn()
 		pyops = append(pyops, p.AddMethod(b.MustBuild()).ID)
 	}
@@ -408,11 +409,11 @@ func genJython(scale Scale) *Subject {
 // genLuindex models document indexing: nested loops hashing terms into a
 // histogram array.
 func genLuindex(scale Scale) *Subject {
-	r := newRng(0x10fdec)
+	r := seeded.NewStream(0x10fdec)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 	var leaves []bytecode.MethodID
 	for i := 0; i < 14; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Hash", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Hash", i, &r)).ID)
 	}
 
 	// index(docs): locals 1=hist, 2=d, 3=t, 4=h.
@@ -442,7 +443,7 @@ func genLuindex(scale Scale) *Subject {
 	b.Iload(3).Iconst(8).Irem()
 	b.If(bytecode.IFNE, "skip")
 	b.Iload(2).Iload(3)
-	b.InvokeStatic(leaves[r.intn(len(leaves))])
+	b.InvokeStatic(leaves[r.Intn(len(leaves))])
 	b.Pop()
 	b.Label("skip")
 	b.Iinc(3, 1)
@@ -470,11 +471,11 @@ func genLuindex(scale Scale) *Subject {
 
 // genLusearch is the multi-threaded search twin of luindex.
 func genLusearch(scale Scale) *Subject {
-	r := newRng(0x105ea)
+	r := seeded.NewStream(0x105ea)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 	var leaves []bytecode.MethodID
 	for i := 0; i < 14; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Score", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Score", i, &r)).ID)
 	}
 
 	// search(tid, queries): locals 2=idx array, 3=q, 4=i, 5=best.
@@ -513,7 +514,7 @@ func genLusearch(scale Scale) *Subject {
 	b.Goto("scan")
 	b.Label("endq")
 	b.Iload(5).Iload(3)
-	b.InvokeStatic(leaves[r.intn(len(leaves))])
+	b.InvokeStatic(leaves[r.Intn(len(leaves))])
 	b.Pop()
 	b.Iinc(3, 1)
 	b.Goto("qloop")
@@ -544,11 +545,11 @@ func genLusearch(scale Scale) *Subject {
 // genPmd models static analysis: multi-threaded recursive AST walks with a
 // node-kind switch and exceptions on malformed nodes.
 func genPmd(scale Scale) *Subject {
-	r := newRng(0x9a4d)
+	r := seeded.NewStream(0x9a4d)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 	var leaves []bytecode.MethodID
 	for i := 0; i < 20; i++ {
-		leaves = append(leaves, p.AddMethod(genLeaf("Rule", i, r)).ID)
+		leaves = append(leaves, p.AddMethod(genLeaf("Rule", i, &r)).ID)
 	}
 
 	// visit(node, depth): switch on node%5; kind 4 throws when depth big.
@@ -575,7 +576,7 @@ func genPmd(scale Scale) *Subject {
 	b.Ireturn()
 	b.Label("K2")
 	b.Iload(0).Iload(1)
-	b.InvokeStatic(leaves[r.intn(len(leaves))])
+	b.InvokeStatic(leaves[r.Intn(len(leaves))])
 	b.Ireturn()
 	b.Label("K3")
 	b.Iload(0).Iconst(1).Ishr()
@@ -589,7 +590,7 @@ func genPmd(scale Scale) *Subject {
 	b.Iload(0).Ireturn()
 	b.Label("leafcase")
 	b.Iload(0).Iload(1)
-	b.InvokeStatic(leaves[(r.intn(len(leaves)))])
+	b.InvokeStatic(leaves[(r.Intn(len(leaves)))])
 	b.Ireturn()
 	visit := p.AddMethod(b.MustBuild()).ID
 
@@ -641,21 +642,21 @@ func genPmd(scale Scale) *Subject {
 // per-iteration indirect shading calls — the highest trace generation rate
 // of the subjects, as the paper observes for sunflow.
 func genSunflow(scale Scale) *Subject {
-	r := newRng(0x50f10)
+	r := seeded.NewStream(0x50f10)
 	p := &bytecode.Program{Entry: bytecode.NoMethod}
 
 	var mathLeaves []bytecode.MethodID
 	for i := 0; i < 8; i++ {
-		mathLeaves = append(mathLeaves, p.AddMethod(genLeaf("Vec", i, r)).ID)
+		mathLeaves = append(mathLeaves, p.AddMethod(genLeaf("Vec", i, &r)).ID)
 	}
 	var shaders []bytecode.MethodID
 	for i := 0; i < 6; i++ {
 		b := bytecode.NewBuilder("Shader", fmt.Sprintf("shade%d", i), 2)
 		b.ReturnsValue()
-		emitArith(b, r, 0, 1)
+		emitArith(b, &r, 0, 1)
 		if i%2 == 0 {
 			b.Iload(0).Iload(1)
-			b.InvokeStatic(mathLeaves[r.intn(len(mathLeaves))])
+			b.InvokeStatic(mathLeaves[r.Intn(len(mathLeaves))])
 			b.Istore(0)
 		}
 		b.Iload(0).Iload(1)

@@ -8,6 +8,7 @@ import (
 	"jportal/internal/cfg"
 	"jportal/internal/core"
 	"jportal/internal/metrics"
+	"jportal/internal/seeded"
 	"jportal/internal/vm"
 )
 
@@ -15,14 +16,8 @@ import (
 // methods (arithmetic + a branch diamond), a mid method looping over leaf
 // calls, and a main driving the mid method. Deterministic in seed.
 func randProgram(seed uint64) *bytecode.Program {
-	next := func() uint64 {
-		seed += 0x9e3779b97f4a7c15
-		x := seed
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		return x ^ (x >> 31)
-	}
-	intn := func(n int) int { return int(next() % uint64(n)) }
+	rng := seeded.NewStream(seed)
+	intn := rng.Intn
 	arith := []bytecode.Opcode{
 		bytecode.IADD, bytecode.ISUB, bytecode.IMUL,
 		bytecode.IAND, bytecode.IOR, bytecode.IXOR,

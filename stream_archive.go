@@ -47,6 +47,23 @@ import (
 // StreamFileName is the record stream inside a chunked archive directory.
 const StreamFileName = "stream.jpt"
 
+// ArchivesIdentical reports whether two chunked archive directories hold
+// byte-identical record streams and program metadata: the check a pushed
+// or ingested copy must pass against its source archive.
+func ArchivesIdentical(srcDir, dstDir string) bool {
+	for _, name := range []string{StreamFileName, "program.gob"} {
+		a, err := os.ReadFile(filepath.Join(srcDir, name))
+		if err != nil {
+			return false
+		}
+		b, err := os.ReadFile(filepath.Join(dstDir, name))
+		if err != nil || !bytes.Equal(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
 // ErrStreamPending is returned by StreamArchiveReader.Next when the archive
 // ends mid-record or before a seal: the writer has not (yet) appended the
 // next record. Followers wait and retry; one-shot readers treat it as a
