@@ -1,10 +1,10 @@
 #!/bin/sh
 # ci.sh - the repository's check gauntlet. Run before sending a PR.
 #
-#   ./ci.sh          vet + build + full tests + race-detector pass over the
-#                    concurrent packages (core, trace, conc, pt, source,
-#                    etrace, ingest, fleet, netfault, iofault, scrub, and
-#                    seeded, the fault core they share) and the root
+#   ./ci.sh          gofmt + vet + build + full tests + race-detector pass
+#                    over the concurrent packages (core, trace, conc, pt,
+#                    source, etrace, ingest, fleet, netfault, iofault, scrub,
+#                    and seeded, the fault core they share) and the root
 #                    streaming tests + benchmark smoke
 #
 # The race pass covers the offline-phase parallelism introduced with the
@@ -16,6 +16,14 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+echo "==> gofmt -l (every Go file must be gofmt-formatted)"
+UNFORMATTED=$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt would reformat:"
+    echo "$UNFORMATTED"
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -228,11 +236,12 @@ echo "==> perfbench smoke (every workload, untraced and traced, at tiny scale)"
 
 echo "==> bench snapshot smoke (kernels, guard band vs committed BENCH_*.json)"
 # Quick mode runs the steady-state kernels with the same inputs as the
-# committed snapshot, so allocs/op — the machine-independent metric — is
-# directly comparable; -base enforces the 20% guard band against the
-# newest committed snapshot, and bench.Load rejects malformed JSON.
+# committed snapshot, so allocs/op and B/op — the machine-independent
+# metrics — are directly comparable; -base enforces the one-sided 20% guard
+# band on both against the newest committed snapshot, and bench.Load
+# rejects malformed JSON.
 BASE=$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
 "$SMOKE/jportal" bench -quick -out "$SMOKE/bench.json" -base "$BASE" -tol 0.2
-echo "    bench snapshot well-formed, allocs/op within guard band of $BASE"
+echo "    bench snapshot well-formed, allocs/op and B/op within guard band of $BASE"
 
 echo "ci.sh: all checks passed"

@@ -597,18 +597,19 @@ func cmdExp(args []string) error {
 
 // cmdBench measures the hot-path kernels and (full mode) the end-to-end
 // streaming throughput, writing a BENCH_<n>.json snapshot (DESIGN.md §12).
-// With -base it also enforces the allocation guard band against a
-// committed snapshot, so CI catches steady-state allocation regressions.
+// With -base it also enforces the allocation guard band (allocs/op and
+// B/op) against a committed snapshot, so CI catches steady-state
+// allocation regressions.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	pr := fs.Int("pr", 0, "PR number stamped into the snapshot")
 	out := fs.String("out", "", "write the snapshot JSON to FILE")
-	quick := fs.Bool("quick", false, "kernels only (same inputs, comparable allocs/op)")
+	quick := fs.Bool("quick", false, "kernels only (same inputs, comparable allocs/op and B/op)")
 	scale := fs.Float64("scale", 1.0, "streaming subject scale")
 	workers := fs.Int("workers", 8, "streaming replay worker count")
 	reps := fs.Int("reps", 3, "wall-clock repetitions (minimum is recorded)")
 	base := fs.String("base", "", "baseline snapshot to guard against")
-	tol := fs.Float64("tol", 0.2, "guard-band tolerance on allocs/op")
+	tol := fs.Float64("tol", 0.2, "guard-band tolerance on allocs/op and B/op")
 	fs.Parse(args)
 
 	rep, err := jportal.RunBenchSuite(jportal.BenchOptions{

@@ -14,10 +14,13 @@
 //   - fleet (optional): sharded-ingest throughput, the same session set
 //     pushed through a coordinator onto 1 node and onto N.
 //
-// Wall-clock numbers move with the machine and its load; allocs/op is a
-// property of the code alone. The CI guard therefore compares only
-// allocs/op, with a tolerance for runtime noise (size-class rounding,
-// map growth timing).
+// Wall-clock numbers move with the machine and its load; allocs/op and
+// B/op are properties of the code alone. The CI guard therefore compares
+// only those two, with a tolerance for runtime noise (size-class
+// rounding, map growth timing). B/op is guarded as well as allocs/op
+// because a kernel can allocate heavily in few calls: allocs/op is a
+// truncated integer, so a slab-allocating kernel reads 0 allocs/op at
+// ~100 KB/op.
 package bench
 
 import (
@@ -123,12 +126,13 @@ func Load(path string) (*Report, error) {
 	return r, nil
 }
 
-// Guard compares cur against base on the machine-stable metric only —
-// kernel allocs/op — and returns one violation string per kernel whose
-// allocation count grew by more than tol (0.2 = 20%). Kernels present in
-// only one report are skipped: the guard protects against regressions in
-// what both snapshots measure, not schema drift. An absolute slack of
-// one allocation keeps near-zero kernels (0 vs 1) from tripping on
+// Guard compares cur against base on the machine-stable metrics only —
+// kernel allocs/op and B/op — and returns one violation string per kernel
+// metric that grew by more than tol (0.2 = 20%). The guard is one-sided:
+// shrinking is never a violation. Kernels present in only one report are
+// skipped: the guard protects against regressions in what both snapshots
+// measure, not schema drift. Absolute slacks of one allocation and
+// bytesSlack bytes keep near-zero kernels (0 vs 1) from tripping on
 // rounding.
 func Guard(base, cur *Report, tol float64) []string {
 	var bad []string
@@ -143,6 +147,17 @@ func Guard(base, cur *Report, tol float64) []string {
 				"kernel %s: allocs/op %.1f exceeds baseline %.1f by more than %.0f%%",
 				b.Name, c.AllocsPerOp, b.AllocsPerOp, tol*100))
 		}
+		if c.BytesPerOp > b.BytesPerOp*(1+tol)+bytesSlack {
+			bad = append(bad, fmt.Sprintf(
+				"kernel %s: B/op %.0f exceeds baseline %.0f by more than %.0f%%",
+				b.Name, c.BytesPerOp, b.BytesPerOp, tol*100))
+		}
 	}
 	return bad
 }
+
+// bytesSlack is the B/op guard's absolute slack: a benchmark's one-time
+// allocations (a buffer sized on the first op, a runtime-internal map)
+// are amortised over however many ops testing.Benchmark chose, which
+// leaves a few stray bytes per op on an allocation-free kernel.
+const bytesSlack = 64

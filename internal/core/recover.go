@@ -453,7 +453,10 @@ func (r *Recoverer) chainFill(c *candidate, kMin, budget int, gap *GapInfo, post
 	if y == 0 {
 		return nil, false
 	}
-	var toks []Token
+	// The splice itself is only ever read through its length and, when
+	// re-anchoring, its last continueWindow tokens, so only a bounded tail
+	// of it is kept.
+	var tail spliceTail
 	var steps []Step
 	finish := func(connected bool) ([]Step, bool) {
 		for i := range steps {
@@ -469,7 +472,7 @@ func (r *Recoverer) chainFill(c *candidate, kMin, budget int, gap *GapInfo, post
 			// Does the continuation here line up with the post-hole
 			// tokens (and have we consumed enough of the budget for the
 			// hole's duration)?
-			if len(toks) >= kMin && i+y <= len(cst) {
+			if tail.n >= kMin && i+y <= len(cst) {
 				match := true
 				for j := 0; j < y; j++ {
 					if cst[i+j].MatchKey() != post[j].MatchKey() {
@@ -481,22 +484,50 @@ func (r *Recoverer) chainFill(c *candidate, kMin, budget int, gap *GapInfo, post
 					return finish(true)
 				}
 			}
-			if len(toks) >= budget {
+			if tail.n >= budget {
 				return finish(false)
 			}
-			toks = append(toks, cst[i])
+			tail.push(cst[i])
 			if n := csFlow.Nodes[i]; n != cfg.NoNode {
 				mid, pc := r.m.G.Location(n)
 				steps = append(steps, Step{Method: mid, PC: pc, Recovered: true})
 			}
 		}
-		np, ok := r.continueFrom(toks)
+		np, ok := r.continueFrom(tail.toks)
 		if !ok {
 			break
 		}
 		seg, pos = np.seg, int(np.pos)
 	}
 	return finish(false)
+}
+
+// continueWindow caps the common-suffix length continueFrom ranks
+// re-anchor positions by.
+const continueWindow = 64
+
+// spliceTail counts the tokens spliced so far and keeps the newest of them:
+// at least continueWindow+1, enough that continueFrom's capped suffix
+// comparison reads exactly what it would over the whole splice.
+type spliceTail struct {
+	n    int
+	toks []Token
+}
+
+// spliceTailKeep is how many newest tokens a spliceTail retains.
+const spliceTailKeep = continueWindow + 1
+
+func (t *spliceTail) push(tok Token) {
+	switch len(t.toks) {
+	case 0:
+		if t.toks == nil {
+			t.toks = make([]Token, 0, 2*spliceTailKeep)
+		}
+	case 2 * spliceTailKeep:
+		t.toks = t.toks[:copy(t.toks, t.toks[spliceTailKeep:])]
+	}
+	t.toks = append(t.toks, tok)
+	t.n++
 }
 
 // continueFrom locates the position whose context best matches the tail of
@@ -509,15 +540,14 @@ func (r *Recoverer) continueFrom(tail []Token) (anchorPos, bool) {
 	h := anchorHash(len(tail)-1, x, tail)
 	var best anchorPos
 	bestLen := -1
-	const window = 64
 	r.index.visit(h, func(ap anchorPos) {
 		cs := r.flows[ap.seg].Seg
 		n := suffixKeys(tail, len(tail), cs.Tokens, int(ap.pos))
 		if n < x {
 			return // hash collision
 		}
-		if n > window {
-			n = window
+		if n > continueWindow {
+			n = continueWindow
 		}
 		// Prefer positions with actual continuation left.
 		if int(ap.pos) >= len(cs.Tokens) {

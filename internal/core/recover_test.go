@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -283,3 +284,95 @@ func TestFillTSCInterpolation(t *testing.T) {
 }
 
 var _ = cfg.NoNode // keep cfg import if assertions change
+
+// chainFillFullSplice is chainFill as it was before the splice was bounded
+// to a tail: every spliced token is kept and continueFrom reads the whole
+// splice. It also reports how many re-anchors ran and the longest splice
+// a re-anchor read.
+func chainFillFullSplice(r *Recoverer, c *candidate, kMin, budget int, gap *GapInfo, post []Token) (steps []Step, connected bool, reanchors, longest int) {
+	y := min(r.cfg.ConfirmLen, len(post))
+	if y == 0 {
+		return nil, false, 0, 0
+	}
+	var toks []Token
+	finish := func(ok bool) ([]Step, bool, int, int) {
+		for i := range steps {
+			steps[i].TSC = fillTSC(gap, i, len(steps))
+		}
+		return steps, ok, reanchors, longest
+	}
+	seg, pos := c.seg, int(c.pos)
+	for hops := 0; hops < 8; hops++ {
+		csFlow := r.flows[seg]
+		cst := csFlow.Seg.Tokens
+		for i := pos; i < len(cst); i++ {
+			if len(toks) >= kMin && i+y <= len(cst) {
+				match := true
+				for j := 0; j < y; j++ {
+					if cst[i+j].MatchKey() != post[j].MatchKey() {
+						match = false
+						break
+					}
+				}
+				if match {
+					return finish(true)
+				}
+			}
+			if len(toks) >= budget {
+				return finish(false)
+			}
+			toks = append(toks, cst[i])
+			if n := csFlow.Nodes[i]; n != cfg.NoNode {
+				mid, pc := r.m.G.Location(n)
+				steps = append(steps, Step{Method: mid, PC: pc, Recovered: true})
+			}
+		}
+		reanchors++
+		longest = max(longest, len(toks))
+		np, ok := r.continueFrom(toks)
+		if !ok {
+			break
+		}
+		seg, pos = np.seg, int(np.pos)
+	}
+	return finish(false)
+}
+
+// TestChainFillBoundedTailMatchesFullSplice: splices that outgrow the kept
+// tail and re-anchor (more than once) fill exactly as they did when the
+// whole splice was kept.
+func TestChainFillBoundedTailMatchesFullSplice(t *testing.T) {
+	_, m := fig2Matcher(t)
+	iter := len(fig2ElseTrace())
+	pre := mkFlow(m, repTrace(3, 0), nil)
+	gapDur := uint64(40 * iter * 10)
+	post := mkFlow(m, repTrace(3, uint64(3*iter*10)+gapDur), &GapInfo{
+		Start: uint64(3 * iter * 10), End: uint64(3*iter*10) + gapDur, LostBytes: 4000,
+	})
+	// Each CS holds more than the kept tail, so the first re-anchor
+	// already reads a splice longer than it.
+	n := spliceTailKeep/iter + 2
+	cs1 := mkFlow(m, repTrace(n, 40_000), &GapInfo{Desync: true})
+	cs2 := mkFlow(m, repTrace(n, 60_000), &GapInfo{Desync: true})
+	r := NewRecoverer(m, []*SegmentFlow{pre, post, cs1, cs2}, DefaultRecoveryConfig())
+	cands, _, _ := r.searchCS(0)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	gap := post.Seg.GapBefore
+	longest := 0
+	for _, c := range cands {
+		for _, kb := range [][2]int{{0, 40 * iter}, {30 * iter, 60 * iter}, {50 * iter, 80 * iter}, {0, 1}} {
+			want, wantOK, _, l := chainFillFullSplice(r, &c, kb[0], kb[1], gap, post.Seg.Tokens)
+			got, gotOK := r.chainFill(&c, kb[0], kb[1], gap, post.Seg.Tokens)
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("candidate %+v kMin=%d budget=%d: bounded tail fills %d steps (connected %v), full splice %d (%v)",
+					c, kb[0], kb[1], len(got), gotOK, len(want), wantOK)
+			}
+			longest = max(longest, l)
+		}
+	}
+	if longest <= spliceTailKeep {
+		t.Fatalf("no re-anchor read a splice longer than the kept tail (longest %d)", longest)
+	}
+}

@@ -93,7 +93,11 @@ func (a *ThreadAnalyzer) FeedContext(ctx context.Context, items []source.Item) {
 		return
 	}
 	t0 := time.Now()
-	a.safeFeed(items)
+	for len(items) > 0 {
+		n := min(len(items), decodeBatch)
+		a.safeFeed(items[:n])
+		items = items[n:]
+	}
 	a.harvestFaults()
 	a.pend = append(a.pend, a.tk.take()...)
 	if cap := a.p.Cfg.MaxPendingSegments; cap > 0 && len(a.pend) >= cap {
@@ -120,12 +124,18 @@ func (a *ThreadAnalyzer) SegmentsSeen() uint64 { return a.segsSeen }
 // TimedOut reports whether a deadline cut this thread's analysis short.
 func (a *ThreadAnalyzer) TimedOut() bool { return a.timedOut.Load() }
 
-// safeFeed runs the decode+tokenize of one chunk with panic containment:
-// a crash quarantines this chunk only, rebuilds the decoder (its walking
+// decodeBatch bounds how many items one decode call takes, so the
+// decoder's event buffer stays at a batch's worth of events however large
+// the stitched delta is. Decoding is chunk-invariant, so the batch size
+// never changes what is computed — only a decoder crash's blast radius.
+const decodeBatch = 1024
+
+// safeFeed runs the decode+tokenize of one batch with panic containment:
+// a crash quarantines this batch only, rebuilds the decoder (its walking
 // state is what crashed) and splits the token stream behind a synthetic
-// desync, so the thread — and every other thread — keeps analysing. It
-// runs inside the Session's per-thread fan-out, where an escaped panic
-// would kill the process.
+// desync, so the rest of the delta, the thread — and every other thread —
+// keep analysing. It runs inside the Session's per-thread fan-out, where
+// an escaped panic would kill the process.
 func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -134,6 +144,9 @@ func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
 				Items: len(items), Bytes: chunkBytes(items),
 				Detail: fmt.Sprintf("decode: %v", r),
 			})
+			// Report what the crashed decoder found in the delta's earlier
+			// batches before it is discarded.
+			a.harvestFaults()
 			ds := a.dec.Stats()
 			a.carriedDesyncs += ds.Desyncs
 			a.carriedFaults += ds.FaultCount

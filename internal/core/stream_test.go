@@ -8,6 +8,8 @@ import (
 
 	"jportal/internal/bytecode"
 	"jportal/internal/fault"
+	"jportal/internal/meta"
+	"jportal/internal/source"
 )
 
 // TestTokenizerChunkInvariant feeds the mixed event fixture (templates,
@@ -179,5 +181,71 @@ func TestFinishCancelledSkipsRecoveryOnHoleFreeThread(t *testing.T) {
 	want := fault.Entry{Reason: fault.ReasonDeadline, Thread: 3, Core: -1, Count: 1, Detail: "recovery skipped"}
 	if got := led.Entries(); len(got) != 1 || got[0] != want {
 		t.Errorf("ledger = %+v, want [%+v]", got, want)
+	}
+}
+
+// crashSource is a trace source whose decoder turns every packet into one
+// interpreter dispatch and panics on a packet addressed to poison — a
+// decoder crash at a known item.
+type crashSource struct {
+	source.Source
+	poison uint64
+}
+
+func (s crashSource) NewDecoder(snap *meta.Snapshot) source.Decoder {
+	return &crashDecoder{Decoder: s.Source.NewDecoder(snap), poison: s.poison}
+}
+
+type crashDecoder struct {
+	source.Decoder
+	poison uint64
+	out    []source.Event
+}
+
+func (d *crashDecoder) DecodeChunk(items []source.Item) []source.Event {
+	d.out = d.out[:0]
+	for _, it := range items {
+		if it.Packet.IP == d.poison {
+			panic("poisoned packet")
+		}
+		d.out = append(d.out, source.Event{Kind: source.EvTemplate, Op: bytecode.ILOAD})
+	}
+	return d.out
+}
+
+func (d *crashDecoder) Flush() []source.Event { return nil }
+
+// TestDecodePanicQuarantinesOnlyItsBatch: one delta spanning several decode
+// batches, with a decoder crash in the third. The ledger records exactly
+// that batch — its items and bytes — and every other batch's tokens
+// survive the crash, before and after it.
+func TestDecodePanicQuarantinesOnlyItsBatch(t *testing.T) {
+	prog, m := fig2Matcher(t)
+	const n = 5*decodeBatch + 100
+	bad := 2*decodeBatch + 17
+	items := make([]source.Item, n)
+	for i := range items {
+		items[i].Packet = source.Packet{IP: uint64(i + 1), WireLen: uint8(1 + i%5)}
+	}
+	pc := DefaultPipelineConfig()
+	pc.Source = crashSource{Source: source.Default(), poison: items[bad].Packet.IP}
+	led := fault.NewLedger(nil)
+	a := (&Pipeline{Prog: prog, Matcher: m, Cfg: pc}).NewThreadAnalyzer(0, nil)
+	a.SetLedger(led)
+	a.Feed(items)
+	res := a.Finish()
+
+	var crashes []fault.Entry
+	for _, e := range led.Entries() {
+		if e.Reason == fault.ReasonStageCrash {
+			crashes = append(crashes, e)
+		}
+	}
+	batch := items[2*decodeBatch : 3*decodeBatch]
+	if len(crashes) != 1 || crashes[0].Items != decodeBatch || crashes[0].Bytes != chunkBytes(batch) {
+		t.Fatalf("crash entries %+v, want one of %d items, %d bytes", crashes, decodeBatch, chunkBytes(batch))
+	}
+	if got, want := res.Decode.Tokens, n-decodeBatch; got != want {
+		t.Fatalf("tokens = %d, want %d: only the crashed batch may be lost", got, want)
 	}
 }

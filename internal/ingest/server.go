@@ -597,9 +597,11 @@ func (s *Server) attach(id string, ncores int, src string, cw *connWriter) (*ses
 		// admitting more sessions just multiplies the failures, so they get
 		// BUSY until space clears. Existing sessions still attach — their
 		// next archive write is the probe that discovers the disk recovered
-		// (and clears the gate), so a transient ENOSPC cannot lock the
-		// server out forever.
-		if s.diskFull.Load() {
+		// (and clears the gate). The gate is half-open: when no live
+		// session is left to probe (the one that hit ENOSPC was poisoned,
+		// say), this HELLO is admitted as the probe, so a transient ENOSPC
+		// cannot lock the server out forever.
+		if s.diskFull.Load() && s.hasLiveSession() {
 			s.metrics.DiskFullRejections.Add(1)
 			return nil, &errBusy{"disk full", busyRetryAfter}
 		}
@@ -652,6 +654,21 @@ func (s *Server) attach(id string, ncores int, src string, cw *connWriter) (*ses
 	sess.nextEnqueue = sess.lastAcked + 1
 	s.attached++
 	return sess, nil
+}
+
+// hasLiveSession reports whether some session can still write — neither
+// poisoned nor finished — and so can probe a full disk. Called with s.mu
+// held.
+func (s *Server) hasLiveSession() bool {
+	for _, sess := range s.sessions {
+		sess.mu.Lock()
+		live := sess.err == nil && !sess.done
+		sess.mu.Unlock()
+		if live {
+			return true
+		}
+	}
+	return false
 }
 
 // isStorageErr reports whether err is a disk-level failure — real or

@@ -8,13 +8,16 @@ package ingest
 // three-strikes assertion.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"jportal"
 	"jportal/internal/iofault"
@@ -172,4 +175,61 @@ func TestWriterDropsStaleFrames(t *testing.T) {
 	if n := srv.metrics.Duplicates.Load(); n != 1 {
 		t.Fatalf("Duplicates = %d, want 1", n)
 	}
+}
+
+// TestDiskFullGateAdmitsProbeAfterPoison pins the half-open full-disk
+// gate: session A hits ENOSPC (arming the gate) and is then poisoned, so
+// no live session is left whose next write could discover that space came
+// back. The very first HELLO for a new session B must be admitted as that
+// probe — well within one BUSY retry interval — rather than refused until
+// its client gives up. While B is live the gate still holds for others,
+// and B's first durable write clears it.
+func TestDiskFullGateAdmitsProbeAfterPoison(t *testing.T) {
+	srv, err := NewServer(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	a, err := srv.attach("a", 1, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.storageShed(&storageError{fmt.Errorf("writing %s: %w", jportal.StreamFileName, iofault.ErrNoSpace)})
+	if !srv.diskFull.Load() {
+		t.Fatal("ENOSPC shed did not arm the full-disk gate")
+	}
+	a.poison(fmt.Errorf("%w: injected", ErrStatePersist))
+	a.detach(nil)
+
+	b, err := srv.attach("b", 1, "", nil)
+	if err != nil {
+		t.Fatalf("HELLO with no live session left to probe: %v, want admission as the probe", err)
+	}
+	var busy *errBusy
+	if _, err := srv.attach("c", 1, "", nil); !errors.As(err, &busy) {
+		t.Fatalf("HELLO while the probe session is live: err = %v, want BUSY", err)
+	}
+
+	rec := watermarkRecord(0, 100)
+	srv.queuedBytes.Add(int64(len(rec)))
+	b.queue <- msg{typ: FrameChunk, seq: 1, data: rec}
+	for deadline := time.Now().Add(5 * time.Second); b.ackedSeq() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("probe session's write never became durable")
+		}
+	}
+	if srv.diskFull.Load() {
+		t.Fatal("a durable write did not clear the full-disk gate")
+	}
+	c, err := srv.attach("c", 1, "", nil)
+	if err != nil {
+		t.Fatalf("HELLO after the gate cleared: %v", err)
+	}
+	b.detach(nil)
+	c.detach(nil)
 }

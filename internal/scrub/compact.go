@@ -62,8 +62,8 @@ func CompactArchive(dir string, reg *metrics.Registry) (CompactStats, error) {
 	}
 	out := make([]byte, 0, len(data))
 	out = append(out, data[:streamfmt.HeaderLen]...)
-	crc := crc32.Update(0, crc32.IEEETable, out)     // compacted stream
-	origCRC := crc                                   // original stream, for verifying its seal
+	crc := crc32.Update(0, crc32.IEEETable, out) // compacted stream
+	origCRC := crc                               // original stream, for verifying its seal
 	marks := make([]uint64, ncores)
 	seenBlobs := map[string]struct{}{}
 	sealed := false

@@ -70,7 +70,7 @@ func TestCompactDropsDuplicatesAndReseals(t *testing.T) {
 	w100 := watermarkRec(0, 100)
 	stream := sealStream(header,
 		blob,
-		blob,               // duplicate blob: dropped
+		blob, // duplicate blob: dropped
 		w100,
 		watermarkRec(0, 100), // non-advancing watermark: dropped
 		watermarkRec(0, 250),

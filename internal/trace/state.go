@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 
 	"jportal/internal/source"
 	"jportal/internal/vm"
@@ -63,20 +64,21 @@ func (s *StreamStitcher) ExportState() StitcherState {
 		cs := StitcherCoreState{
 			Recs:    append([]vm.SwitchRecord(nil), c.recs...),
 			Mark:    c.mark,
-			Pending: append([]source.Item(nil), c.pending...),
+			Pending: c.log.appendRange(nil, c.next, c.log.end),
 			WI:      c.wi,
 			TSC:     c.tsc,
 			Open:    make(map[int][]source.Item, len(c.open)),
 			Closed:  make([]StitcherWindow, len(c.closed)),
 			FO:      c.fo,
 		}
-		for j, items := range c.open {
-			cs.Open[j] = append([]source.Item(nil), items...)
+		for j := range c.open {
+			cs.Open[c.open[j].rec] = c.materialize(&c.open[j])
 		}
-		for j, w := range c.closed {
+		for j := range c.closed {
+			w := &c.closed[j]
 			cs.Closed[j] = StitcherWindow{
 				Thread: w.thread, Start: w.start, End: w.end, Rec: w.rec,
-				Items: append([]source.Item(nil), w.items...),
+				Items: c.materialize(w),
 			}
 		}
 		st.Cores[i] = cs
@@ -107,21 +109,40 @@ func (s *StreamStitcher) RestoreState(st StitcherState) error {
 		c := &s.cores[i]
 		c.recs = append([]vm.SwitchRecord(nil), cs.Recs...)
 		c.mark = cs.Mark
-		c.pending = append([]source.Item(nil), cs.Pending...)
 		c.wi = cs.WI
 		c.tsc = cs.TSC
-		c.open = make(map[int][]source.Item, len(cs.Open))
-		for j, items := range cs.Open {
-			c.open[j] = append([]source.Item(nil), items...)
-		}
+		c.fo = cs.FO
+		// Re-log the materialised windows, then the pending items: the log
+		// is only storage, so its order need not be export order — a
+		// window just becomes one span over its re-logged items.
+		c.log = itemLog{}
 		c.closed = make([]stWindow, len(cs.Closed))
 		for j, w := range cs.Closed {
-			c.closed[j] = stWindow{
-				thread: w.Thread, start: w.Start, end: w.End, rec: w.Rec,
-				items: append([]source.Item(nil), w.Items...),
-			}
+			c.closed[j] = stWindow{thread: w.Thread, start: w.Start, end: w.End, rec: w.Rec}
+			c.relog(&c.closed[j], w.Items)
 		}
-		c.fo = cs.FO
+		keys := make([]int, 0, len(cs.Open))
+		for j := range cs.Open {
+			keys = append(keys, j)
+		}
+		sort.Ints(keys)
+		c.open = make([]stWindow, len(keys))
+		for k, j := range keys {
+			c.open[k] = stWindow{rec: j}
+			c.relog(&c.open[k], cs.Open[j])
+		}
+		c.next = c.log.end
+		c.log.append(cs.Pending)
 	}
 	return nil
+}
+
+// relog appends items to the log as window w's only span.
+func (c *coreStitch) relog(w *stWindow, items []source.Item) {
+	if len(items) == 0 {
+		return
+	}
+	lo := c.log.end
+	c.log.append(items)
+	w.add(span{lo: lo, hi: c.log.end})
 }

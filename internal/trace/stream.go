@@ -36,13 +36,27 @@ import (
 	"jportal/internal/vm"
 )
 
-// stWindow is a closed scheduling window awaiting cross-core emission.
+// stWindow is a scheduling window's carved items, as spans over its core's
+// item log: open while the carve cursor can still reach it, then closed
+// and awaiting cross-core emission.
 type stWindow struct {
 	thread int
 	start  uint64
 	end    uint64 // next record's TSC on the core, or the carve cursor for the last window
 	rec    int    // index into the core's collapsed sideband records
-	items  []source.Item
+	spans  []span
+	n      int // items across spans
+}
+
+// add appends sp to the window, extending the last span when sp continues
+// it in the log.
+func (w *stWindow) add(sp span) {
+	w.n += sp.items()
+	if k := len(w.spans) - 1; k >= 0 && sp.syn == nil && w.spans[k].syn == nil && w.spans[k].hi == sp.lo {
+		w.spans[k].hi = sp.hi
+		return
+	}
+	w.spans = append(w.spans, sp)
 }
 
 // coreStitch is the per-core incremental carve state.
@@ -55,15 +69,18 @@ type coreStitch struct {
 	// mark is the sideband watermark: every record with TSC < mark has
 	// been delivered.
 	mark uint64
-	// pending holds fed items not yet carved.
-	pending []source.Item
+	// log holds every fed item still referenced; next is the log index of
+	// the first item not yet carved (the items [next, log.end) are
+	// pending).
+	log  itemLog
+	next int
 	// wi and tsc are the carve cursor: the current window index and the
 	// last timestamp seen (from TSC packets and gap ends).
 	wi  int
 	tsc uint64
-	// open maps window index -> items for windows at or ahead of the
-	// cursor (the cursor window plus any windows a gap pre-populated).
-	open map[int][]source.Item
+	// open holds the windows at or ahead of the cursor (the cursor window
+	// plus any windows a gap pre-populated), in window order.
+	open []stWindow
 	// closed holds carved windows behind the cursor, in window order,
 	// awaiting cross-core emission.
 	closed []stWindow
@@ -98,6 +115,8 @@ type StreamStitcher struct {
 	// inconsistency) and is reported to the ledger. Report-only: the window
 	// still emits, so output stays batch-identical.
 	emittedEnd map[int]uint64
+	// popped is emit's scratch list of windows popped for emission.
+	popped []emitted
 }
 
 // NewStreamStitcher creates a stitcher for cores 0..ncores-1 (the core
@@ -115,7 +134,6 @@ func NewStreamStitcher(ncores int, tr *source.Traits) *StreamStitcher {
 	}
 	for i := range s.cores {
 		s.cores[i].tr = tr
-		s.cores[i].open = make(map[int][]source.Item)
 		s.lastThread[i] = -2
 	}
 	return s
@@ -175,8 +193,7 @@ func (s *StreamStitcher) Feed(core int, items []source.Item) error {
 	if core < 0 || core >= len(s.cores) {
 		return fmt.Errorf("trace: chunk for core %d, stitcher has %d cores", core, len(s.cores))
 	}
-	c := &s.cores[core]
-	c.pending = append(c.pending, items...)
+	s.cores[core].log.append(items)
 	return nil
 }
 
@@ -187,12 +204,12 @@ func (s *StreamStitcher) BufferedItems() int {
 	n := 0
 	for i := range s.cores {
 		c := &s.cores[i]
-		n += len(c.pending)
-		for _, items := range c.open {
-			n += len(items)
+		n += c.log.end - c.next
+		for _, w := range c.open {
+			n += w.n
 		}
 		for _, w := range c.closed {
-			n += len(w.items)
+			n += w.n
 		}
 	}
 	return n
@@ -217,54 +234,40 @@ func (c *coreStitch) windowAt(t uint64) int {
 // stops at the first item whose window assignment could still be changed
 // by sideband at or above the watermark: a TSC packet at or past the mark,
 // or a gap ending at or past it. Items without their own timestamp always
-// carve — they join the cursor window, which is already determined.
+// carve — they join the cursor window, which is already determined. Carved
+// items stay where they are in the log: a window records index spans.
 func (c *coreStitch) carve(final bool) {
 	if len(c.recs) == 0 {
 		// No sideband for this core yet: no window exists to place items
 		// in. The batch split drops such a core's trace entirely.
 		if final {
-			c.pending = nil
+			c.next = c.log.end
 		}
 		return
 	}
-	done := 0
-	// Hoist the cursor window's slice out of the map: most items append to
-	// the current window, so keeping it in a local avoids two map operations
-	// per item. The local is written back whenever the cursor moves or a gap
-	// needs map access to other windows.
-	cur, curWi := c.open[c.wi], c.wi
-	for done < len(c.pending) {
-		it := c.pending[done]
+	// run is the start of the items bound for the cursor window since it
+	// last changed; they join it as one span when the cursor moves, a gap
+	// intervenes, or the carve stops.
+	run := c.next
+	flush := func() {
+		if c.next > run {
+			c.window(c.wi).add(span{lo: run, hi: c.next})
+		}
+	}
+	for c.next < c.log.end {
+		it := c.log.at(c.next)
 		if it.Gap {
 			if !final && it.GapEnd >= c.mark {
 				break
 			}
-			c.open[curWi] = cur
-			lo := c.windowAt(it.GapStart)
-			hi := c.windowAt(it.GapEnd)
-			span := it.GapEnd - it.GapStart
-			for j := lo; j <= hi; j++ {
-				g := it
-				if j > lo {
-					g.GapStart = c.recs[j].TSC
-				}
-				if j < hi && j+1 < len(c.recs) {
-					g.GapEnd = c.recs[j+1].TSC
-				}
-				if g.GapEnd <= g.GapStart {
-					continue
-				}
-				if span > 0 {
-					g.LostBytes = it.LostBytes * (g.GapEnd - g.GapStart) / span
-				}
-				c.open[j] = append(c.open[j], g)
-			}
+			flush()
+			c.spreadGap(c.next, *it)
 			c.tsc = it.GapEnd
 			if w := c.windowAt(c.tsc); w > c.wi {
 				c.wi = w
 			}
-			cur, curWi = c.open[c.wi], c.wi
-			done++
+			c.next++
+			run = c.next
 			continue
 		}
 		if c.tr.IsTime(it.Packet.Kind) {
@@ -273,52 +276,135 @@ func (c *coreStitch) carve(final bool) {
 			}
 			c.tsc = it.Packet.TSC
 			if w := c.windowAt(c.tsc); w > c.wi {
-				c.open[curWi] = cur
+				flush()
 				c.wi = w
-				cur, curWi = c.open[c.wi], c.wi
+				run = c.next
 			}
 		}
-		cur = append(cur, it)
-		done++
+		c.next++
 	}
-	c.open[curWi] = cur
-	if done > 0 {
-		// Compact rather than re-slice so the carved prefix is freed —
-		// the whole point is bounding in-flight memory.
-		rest := len(c.pending) - done
-		copy(c.pending, c.pending[done:])
-		c.pending = c.pending[:rest]
-	}
+	flush()
 	c.close(final)
+}
+
+// spreadGap distributes the gap item at log index g to every window it
+// overlaps, clipped to the window bounds, exactly as the batch carve
+// does. A piece identical to the logged item — the gap fits one window —
+// is a span over the log; only a clipped piece needs a synthetic item.
+func (c *coreStitch) spreadGap(g int, it source.Item) {
+	lo := c.windowAt(it.GapStart)
+	hi := c.windowAt(it.GapEnd)
+	d := it.GapEnd - it.GapStart
+	for j := lo; j <= hi; j++ {
+		p := it
+		if j > lo {
+			p.GapStart = c.recs[j].TSC
+		}
+		if j < hi && j+1 < len(c.recs) {
+			p.GapEnd = c.recs[j+1].TSC
+		}
+		if p.GapEnd <= p.GapStart {
+			continue
+		}
+		if d > 0 {
+			p.LostBytes = it.LostBytes * (p.GapEnd - p.GapStart) / d
+		}
+		if p == it {
+			c.window(j).add(span{lo: g, hi: g + 1})
+		} else {
+			c.window(j).add(span{syn: &p})
+		}
+	}
+}
+
+// window returns open window j, opening it if needed. The pointer is valid
+// until the next call.
+func (c *coreStitch) window(j int) *stWindow {
+	k := len(c.open)
+	for k > 0 && c.open[k-1].rec >= j {
+		if c.open[k-1].rec == j {
+			return &c.open[k-1]
+		}
+		k--
+	}
+	c.open = append(c.open, stWindow{})
+	copy(c.open[k+1:], c.open[k:])
+	c.open[k] = stWindow{rec: j}
+	return &c.open[k]
 }
 
 // close moves windows the cursor has passed (all of them when final) from
 // open to the closed queue, dropping empty and idle-owned ones like the
 // batch split does.
 func (c *coreStitch) close(final bool) {
-	for j := range c.open {
-		if !final && j >= c.wi {
+	keep := c.open[:0]
+	for _, w := range c.open {
+		if !final && w.rec >= c.wi {
+			keep = append(keep, w)
 			continue
 		}
-		items := c.open[j]
-		delete(c.open, j)
-		if len(items) > 0 && c.recs[j].Thread >= 0 {
-			// The window runs until the core's next switch record; the last
-			// window on a core has no successor, so the carve cursor (the
-			// newest timestamp actually seen inside it) bounds it instead.
-			end := c.recs[j].TSC
-			if j+1 < len(c.recs) {
-				end = c.recs[j+1].TSC
-			} else if c.tsc > end {
-				end = c.tsc
-			}
-			c.closed = append(c.closed, stWindow{
-				thread: c.recs[j].Thread, start: c.recs[j].TSC, end: end, rec: j, items: items,
-			})
+		j := w.rec
+		if w.n == 0 || c.recs[j].Thread < 0 {
+			continue
+		}
+		// The window runs until the core's next switch record; the last
+		// window on a core has no successor, so the carve cursor (the
+		// newest timestamp actually seen inside it) bounds it instead.
+		w.thread, w.start, w.end = c.recs[j].Thread, c.recs[j].TSC, c.recs[j].TSC
+		if j+1 < len(c.recs) {
+			w.end = c.recs[j+1].TSC
+		} else if c.tsc > w.end {
+			w.end = c.tsc
+		}
+		// Keep the closed queue in window order: a window behind the
+		// cursor can only be pre-populated by a gap, so insertion is
+		// almost always at the end.
+		k := len(c.closed)
+		for k > 0 && c.closed[k-1].rec > j {
+			k--
+		}
+		c.closed = append(c.closed, stWindow{})
+		copy(c.closed[k+1:], c.closed[k:])
+		c.closed[k] = w
+	}
+	clear(c.open[len(keep):])
+	c.open = keep
+}
+
+// materialize copies a window's items out of the log into a fresh slice.
+func (c *coreStitch) materialize(w *stWindow) []source.Item {
+	if w.n == 0 {
+		return nil
+	}
+	return c.appendItems(make([]source.Item, 0, w.n), w)
+}
+
+// appendItems appends a window's items, in order, to dst.
+func (c *coreStitch) appendItems(dst []source.Item, w *stWindow) []source.Item {
+	for _, sp := range w.spans {
+		if sp.syn != nil {
+			dst = append(dst, *sp.syn)
+		} else {
+			dst = c.log.appendRange(dst, sp.lo, sp.hi)
 		}
 	}
-	// Keep the closed queue in window order; map iteration above is not.
-	sort.Slice(c.closed, func(i, j int) bool { return c.closed[i].rec < c.closed[j].rec })
+	return dst
+}
+
+// recycle releases the log blocks below the lowest index still referenced
+// by the pending items or by an open or closed window.
+func (c *coreStitch) recycle() {
+	low := c.next
+	for _, ws := range [2][]stWindow{c.open, c.closed} {
+		for i := range ws {
+			for _, sp := range ws[i].spans {
+				if sp.syn == nil && sp.lo < low {
+					low = sp.lo
+				}
+			}
+		}
+	}
+	c.log.release(low)
 }
 
 // clockSkewSlack is how far (in cycles) a thread's window may reach back
@@ -380,11 +466,18 @@ func (s *StreamStitcher) frontier(core int) (emitKey, bool) {
 	return emitKey{start: lo, core: core, rec: len(c.recs)}, true
 }
 
-// emit pops all globally-safe windows off the closed queues, appending
-// items to per-thread delta streams. Returns only threads that received
-// items, in thread order. Callers carve first.
+// emitted is a window popped for emission, with its core.
+type emitted struct {
+	core int
+	w    stWindow
+}
+
+// emit pops all globally-safe windows off the closed queues and copies
+// their items out of the core logs into exact-size per-thread delta
+// streams. Returns only threads that received items, in thread order.
+// Callers carve first.
 func (s *StreamStitcher) emit(final bool) []ThreadStream {
-	var deltas map[int][]source.Item
+	s.popped = s.popped[:0]
 	for {
 		best := -1
 		var bestKey emitKey
@@ -413,8 +506,10 @@ func (s *StreamStitcher) emit(final bool) []ThreadStream {
 				break
 			}
 		}
-		w := s.cores[best].closed[0]
-		s.cores[best].closed = s.cores[best].closed[1:]
+		c := &s.cores[best]
+		w := c.closed[0]
+		c.closed[0] = stWindow{}
+		c.closed = c.closed[1:]
 		if prev, ok := s.emittedEnd[w.thread]; ok && w.start+clockSkewSlack < prev {
 			s.ledger.Add(fault.Entry{
 				Reason: fault.ReasonClockSkew, Thread: w.thread, Core: best,
@@ -424,19 +519,38 @@ func (s *StreamStitcher) emit(final bool) []ThreadStream {
 		if w.end > s.emittedEnd[w.thread] {
 			s.emittedEnd[w.thread] = w.end
 		}
-		if deltas == nil {
-			deltas = make(map[int][]source.Item)
-		}
-		deltas[w.thread] = append(deltas[w.thread], w.items...)
+		s.popped = append(s.popped, emitted{core: best, w: w})
 	}
-	if len(deltas) == 0 {
-		return nil
+	var out []ThreadStream
+	if len(s.popped) > 0 {
+		out = s.copyOut()
 	}
-	out := make([]ThreadStream, 0, len(deltas))
-	for t := 0; t <= s.maxThread; t++ {
-		if items, ok := deltas[t]; ok {
-			out = append(out, ThreadStream{Thread: t, Items: items})
+	for i := range s.cores {
+		s.cores[i].recycle()
+	}
+	return out
+}
+
+// copyOut builds one exact-size delta per thread from the popped windows,
+// in pop order — the second and last copy of each item.
+func (s *StreamStitcher) copyOut() []ThreadStream {
+	sizes := make([]int, s.maxThread+1)
+	for i := range s.popped {
+		sizes[s.popped[i].w.thread] += s.popped[i].w.n
+	}
+	idx := make([]int, len(sizes))
+	var out []ThreadStream
+	for t, n := range sizes {
+		if n > 0 {
+			idx[t] = len(out)
+			out = append(out, ThreadStream{Thread: t, Items: make([]source.Item, 0, n)})
 		}
+	}
+	for i := range s.popped {
+		e := &s.popped[i]
+		d := &out[idx[e.w.thread]]
+		d.Items = s.cores[e.core].appendItems(d.Items, &e.w)
+		e.w = stWindow{}
 	}
 	return out
 }
@@ -447,28 +561,25 @@ func (s *StreamStitcher) emit(final bool) []ThreadStream {
 // the other cores' threads still analyse. It runs inside the per-core
 // fan-out goroutines, where an escaped panic would be fatal.
 func (s *StreamStitcher) safeCarve(i int, final bool) {
+	c := &s.cores[i]
+	from := c.next
 	defer func() {
 		if r := recover(); r != nil {
-			c := &s.cores[i]
+			var bytes uint64
+			for g := from; g < c.log.end; g++ {
+				if it := c.log.at(g); !it.Gap {
+					bytes += uint64(it.Packet.WireLen)
+				}
+			}
 			s.ledger.Add(fault.Entry{
 				Reason: fault.ReasonStageCrash, Thread: -1, Core: i,
-				Items: len(c.pending), Bytes: itemBytes(c.pending),
+				Items: c.log.end - from, Bytes: bytes,
 				Detail: fmt.Sprintf("carve: %v", r),
 			})
-			c.pending = nil
+			c.next = c.log.end
 		}
 	}()
 	s.cores[i].carve(final)
-}
-
-func itemBytes(items []source.Item) uint64 {
-	var n uint64
-	for i := range items {
-		if !items[i].Gap {
-			n += uint64(items[i].Packet.WireLen)
-		}
-	}
-	return n
 }
 
 // Drain emits every thread delta that is final under the current

@@ -31,59 +31,89 @@ func streamsOf(nthreads int, deltas [][]ThreadStream) []ThreadStream {
 // fed in chunks of at most chunk items with a Drain after each step.
 func runStream(t *testing.T, cores []pt.CoreTrace, sideband []vm.SwitchRecord, chunk, workers int) []ThreadStream {
 	t.Helper()
-	s := NewStreamStitcher(len(cores), pt.Traits())
-	var deltas [][]ThreadStream
+	d := newFeeder(t, cores, sideband, chunk, 1, 1)
+	for d.step() {
+	}
+	return d.finish(workers)
+}
 
-	// Per-core cursors into sideband (global order) and traces.
-	sb := 0
-	pos := make([]int, len(cores))
-	advanceMarks := func() {
+// feeder steps a StreamStitcher through a fixture under one delivery
+// schedule: each step delivers sbBatch sideband records (global order),
+// advances every core's watermark to the TSC of its next undelivered
+// record on every markEvery-th step (never, when markEvery is 0: then
+// everything carves at Finish), feeds each core at most chunk items, and
+// drains.
+type feeder struct {
+	t         *testing.T
+	s         *StreamStitcher
+	cores     []pt.CoreTrace
+	sideband  []vm.SwitchRecord
+	chunk     int
+	sbBatch   int
+	markEvery int
+	steps     int
+	sb        int
+	pos       []int
+	deltas    [][]ThreadStream
+}
+
+func newFeeder(t *testing.T, cores []pt.CoreTrace, sideband []vm.SwitchRecord, chunk, sbBatch, markEvery int) *feeder {
+	return &feeder{
+		t: t, s: NewStreamStitcher(len(cores), pt.Traits()), cores: cores, sideband: sideband,
+		chunk: chunk, sbBatch: sbBatch, markEvery: markEvery, pos: make([]int, len(cores)),
+	}
+}
+
+// step runs one delivery step and reports whether it delivered anything.
+func (d *feeder) step() bool {
+	d.t.Helper()
+	progressed := false
+	if d.sb < len(d.sideband) {
+		n := min(d.sbBatch, len(d.sideband)-d.sb)
+		d.s.AddSideband(d.sideband[d.sb : d.sb+n])
+		d.sb += n
+		progressed = true
+	}
+	d.steps++
+	if d.markEvery > 0 && d.steps%d.markEvery == 0 {
 		// Watermark for a core = TSC of its next undelivered record, or
 		// "no more records" once the global list is exhausted.
-		next := make([]uint64, len(cores))
+		next := make([]uint64, len(d.cores))
 		for i := range next {
 			next[i] = math.MaxUint64
 		}
-		for _, r := range sideband[sb:] {
-			if r.Core >= 0 && r.Core < len(cores) && next[r.Core] == math.MaxUint64 {
+		for _, r := range d.sideband[d.sb:] {
+			if r.Core >= 0 && r.Core < len(d.cores) && next[r.Core] == math.MaxUint64 {
 				next[r.Core] = r.TSC
 			}
 		}
 		for i, w := range next {
-			s.Watermark(i, w)
+			d.s.Watermark(i, w)
 		}
 	}
-
-	for {
-		progressed := false
-		if sb < len(sideband) {
-			s.AddSideband(sideband[sb : sb+1])
-			sb++
+	for ci := range d.cores {
+		if d.pos[ci] < len(d.cores[ci].Items) {
+			end := min(d.pos[ci]+d.chunk, len(d.cores[ci].Items))
+			if err := d.s.Feed(d.cores[ci].Core, d.cores[ci].Items[d.pos[ci]:end]); err != nil {
+				d.t.Fatalf("Feed: %v", err)
+			}
+			d.pos[ci] = end
 			progressed = true
 		}
-		advanceMarks()
-		for ci := range cores {
-			if pos[ci] < len(cores[ci].Items) {
-				end := pos[ci] + chunk
-				if end > len(cores[ci].Items) {
-					end = len(cores[ci].Items)
-				}
-				if err := s.Feed(cores[ci].Core, cores[ci].Items[pos[ci]:end]); err != nil {
-					t.Fatalf("Feed: %v", err)
-				}
-				pos[ci] = end
-				progressed = true
-			}
-		}
-		if d := s.Drain(); d != nil {
-			deltas = append(deltas, d)
-		}
-		if !progressed {
-			break
-		}
 	}
-	deltas = append(deltas, [][]ThreadStream{s.FinishWorkers(workers)}...)
-	return streamsOf(s.NumThreads(), deltas)
+	if out := d.s.Drain(); out != nil {
+		d.deltas = append(d.deltas, out)
+	}
+	return progressed
+}
+
+// finish runs the remaining steps, finishes the stitcher and returns the
+// reassembled per-thread streams.
+func (d *feeder) finish(workers int) []ThreadStream {
+	for d.step() {
+	}
+	d.deltas = append(d.deltas, d.s.FinishWorkers(workers))
+	return streamsOf(d.s.NumThreads(), d.deltas)
 }
 
 // TestStreamMatchesBatchFixture sweeps chunk sizes over the migration/gap

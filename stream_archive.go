@@ -292,7 +292,8 @@ type StreamArchiveReader struct {
 	f      *os.File
 	prog   *bytecode.Program
 	ncores int
-	buf    []byte // read-ahead not yet consumed
+	buf    []byte // read-ahead; buf[pos:] is not yet consumed
+	pos    int
 	off    int64  // file offset of the first byte past buf
 	crc    uint32 // checksum of all consumed bytes (header + records, pre-seal)
 	sealed bool
@@ -335,7 +336,7 @@ func OpenStreamArchive(dir string) (*StreamArchiveReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("jportal: %s: truncated stream header", dir)
 	}
-	r.ncores, err = streamfmt.ParseHeader(r.buf)
+	r.ncores, err = streamfmt.ParseHeader(r.unread())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("jportal: %s: %w", dir, err)
@@ -357,17 +358,33 @@ func (r *StreamArchiveReader) Source() source.Source { return r.src }
 // Close closes the underlying file.
 func (r *StreamArchiveReader) Close() error { return r.f.Close() }
 
-// fill grows the read-ahead to at least n bytes. ErrStreamPending means the
+// readAhead is the least the read-ahead asks the file for per read.
+const readAhead = 64 << 10
+
+// unread returns the read-ahead bytes not yet consumed.
+func (r *StreamArchiveReader) unread() []byte { return r.buf[r.pos:] }
+
+// fill grows the unconsumed read-ahead to at least n bytes, reading
+// straight into the buffer's spare capacity. ErrStreamPending means the
 // file currently ends before byte n; nothing is consumed, so the caller can
 // retry after the writer appends.
 func (r *StreamArchiveReader) fill(n int) error {
-	for len(r.buf) < n {
-		chunk := make([]byte, max(4096, n-len(r.buf)))
-		m, err := r.f.ReadAt(chunk, r.off)
-		r.buf = append(r.buf, chunk[:m]...)
+	for len(r.buf)-r.pos < n {
+		if want := max(readAhead, n-(len(r.buf)-r.pos)); cap(r.buf)-len(r.buf) < want {
+			// Out of spare room: slide the unconsumed bytes to the front,
+			// into a larger buffer if they and the read still do not fit.
+			rest := r.unread()
+			if need := len(rest) + want; cap(r.buf) < need {
+				r.buf = make([]byte, 0, max(need, 2*cap(r.buf)))
+			}
+			r.buf = r.buf[:copy(r.buf[:len(rest)], rest)]
+			r.pos = 0
+		}
+		m, err := r.f.ReadAt(r.buf[len(r.buf):cap(r.buf)], r.off)
+		r.buf = r.buf[:len(r.buf)+m]
 		r.off += int64(m)
 		if err == io.EOF {
-			if len(r.buf) < n {
+			if len(r.buf)-r.pos < n {
 				return ErrStreamPending
 			}
 			return nil
@@ -379,11 +396,13 @@ func (r *StreamArchiveReader) fill(n int) error {
 	return nil
 }
 
-// consume folds n bytes into the running checksum and drops them from the
-// front of the read-ahead.
+// consume folds n bytes into the running checksum and steps past them.
 func (r *StreamArchiveReader) consume(n int) {
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[:n])
-	r.buf = r.buf[:copy(r.buf, r.buf[n:])]
+	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[r.pos:r.pos+n])
+	r.pos += n
+	if r.pos == len(r.buf) {
+		r.buf, r.pos = r.buf[:0], 0
+	}
 }
 
 // Next decodes the next record. It returns ErrStreamPending at an
@@ -399,7 +418,7 @@ func (r *StreamArchiveReader) Next() (*StreamEvent, error) {
 	var n int
 	for {
 		var err error
-		n, err = streamfmt.Scan(r.buf)
+		n, err = streamfmt.Scan(r.unread())
 		if err == nil {
 			break
 		}
@@ -407,11 +426,11 @@ func (r *StreamArchiveReader) Next() (*StreamEvent, error) {
 			return nil, fmt.Errorf("jportal: stream archive: %w", err)
 		}
 		// Incomplete: the record needs at least one more byte than we have.
-		if ferr := r.fill(len(r.buf) + 1); ferr != nil {
+		if ferr := r.fill(len(r.unread()) + 1); ferr != nil {
 			return nil, ferr
 		}
 	}
-	ev, _, err := streamfmt.DecodeInto(r.buf[:n], r.items, r.src.Traits())
+	ev, _, err := streamfmt.DecodeInto(r.unread()[:n], r.items, r.src.Traits())
 	if err != nil {
 		return nil, fmt.Errorf("jportal: stream archive: %w", err)
 	}
